@@ -7,7 +7,11 @@ and the pipeline is deterministic for a given config, so re-running
 byte-reproduces the CSV.
 
 Exit codes: 0 success (warnings go to the summary), 2 config or schema
-error, 3 numerical failure (ill-conditioned propagator and friends).
+error, including parameters the library rejects (a ``ValueError`` such
+as t1 <= t0), 3 numerical failure (ill-conditioned propagator and
+friends).  Once every config has loaded, each one runs on its own: a
+failing config writes nothing, the others still run, and the largest
+code is returned.
 """
 
 from __future__ import annotations
@@ -195,7 +199,7 @@ def _run_evolve(cfg: ExperimentConfig):
         if "matrix" not in p:
             _fail("evolve model 'constant' needs matrix")
         h = _parse_matrix(p["matrix"], "params.matrix")
-        spec = ham.HamiltonianSpec(dim=h.shape[0], smooth=lambda t: h)
+        spec = ham.HamiltonianSpec.constant(h)
     else:
         _fail(f"unknown evolve model {model!r}")
     t0 = _finite_number(p["t0"], "params.t0")
@@ -237,7 +241,7 @@ def _run_nhse(cfg: ExperimentConfig):
         p["hop"] if isinstance(p["hop"], list) else _finite_number(p["hop"], "params.hop"),
         p["gamma"] if isinstance(p["gamma"], list) else _finite_number(p["gamma"], "params.gamma"),
     )
-    spec = ham.HamiltonianSpec(dim=l, smooth=lambda t: h)
+    spec = ham.HamiltonianSpec.constant(h)
     psi0 = _parse_psi0(p.get("psi0", "boundary"), l, rng, "params.psi0")
     traj = prop.evolve_trajectory(
         spec,
@@ -306,13 +310,14 @@ def _run_dyson(cfg: ExperimentConfig):
     ):
         _fail(f"params.orders must be a list of integers in [0, {series.MAX_ORDER}]")
     panels = _positive_int(p["panels"], "params.panels")
-    spec = ham.HamiltonianSpec(dim=2, smooth=lambda t: ham.SIGMA1)
+    spec = ham.HamiltonianSpec.constant(ham.SIGMA1)
     rows = []
     for T in T_list:
         exact = prop.step_propagator(spec, 0.0, T, 1)  # constant H: single exact factor
         pit = series.general_pitaron_expansion(spec, 0.0, T, panels)
+        dyson = series.dyson_u(spec, 0.0, T, max(orders, default=0), panels)
         for order in orders:
-            partial = series.dyson_u(spec, 0.0, T, order, panels).partial_sums[-1]
+            partial = dyson.partial_sums[order]
             pit_partial = pit.partial_sums[min(order, 2)]
             rows.append({
                 "T": T,
@@ -554,7 +559,7 @@ def _run_paths(config_paths, out_dir, jobs: int) -> int:
         except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
             print(f"numerical failure in {path}: {exc}", file=sys.stderr)
             return 3
-        except ConfigError as exc:
+        except ValueError as exc:  # ConfigError or a library argument check
             print(f"config error in {path}: {exc}", file=sys.stderr)
             return 2
         for warning in summary["warnings"]:
@@ -594,6 +599,9 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     for warning in summary["warnings"]:
         print(f"warning: {warning}")
     print(f"wrote {cfg.output_path}.csv and {cfg.output_path}.summary.json")

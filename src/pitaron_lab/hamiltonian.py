@@ -54,11 +54,20 @@ class HamiltonianSpec:
     ``smooth`` is a pure evaluator t -> matrix (or None for pure-kick
     specs); the stepper chooses where to sample it.  Kick times must be
     strictly increasing and every matrix must match ``dim``.
+
+    A time-independent smooth part is best built with
+    ``HamiltonianSpec.constant``: the matrix is validated once, stored as
+    a read-only copy in ``constant_matrix`` and returned by ``sample``
+    without further checks, and the stepper exponentiates each distinct
+    step width of such a spec only once.  ``smooth`` is still a callable
+    returning it.
     """
 
     dim: int
     smooth: Callable[[float], np.ndarray] | None = None
     kicks: tuple[Kick, ...] = field(default_factory=tuple)
+    constant_matrix: np.ndarray | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -74,8 +83,22 @@ class HamiltonianSpec:
                     f"spec has {self.dim}"
                 )
 
+    @classmethod
+    def constant(cls, h, kicks: Sequence[Kick] = ()) -> HamiltonianSpec:
+        """Spec with the time-independent smooth part ``h`` plus ``kicks``."""
+        h = as_matrix(h).copy()
+        h.flags.writeable = False
+        spec = cls(dim=h.shape[0], smooth=lambda t: h, kicks=tuple(kicks))
+        object.__setattr__(spec, "constant_matrix", h)
+        return spec
+
     def sample(self, t: float) -> np.ndarray:
-        """Evaluate the smooth part at time t (zero matrix if absent)."""
+        """Evaluate the smooth part at time t (zero matrix if absent).
+
+        A constant spec returns its stored read-only matrix unchecked.
+        """
+        if self.constant_matrix is not None:
+            return self.constant_matrix
         if self.smooth is None:
             return np.zeros((self.dim, self.dim), dtype=np.complex128)
         h = np.asarray(self.smooth(t), dtype=np.complex128)

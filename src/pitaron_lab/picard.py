@@ -45,7 +45,6 @@ class PicardRun:
 
     xs: np.ndarray
     iterates: np.ndarray
-    bound_params: tuple[float, float, float] | None
     errors: np.ndarray
 
 
@@ -57,8 +56,7 @@ def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def picard_iterate(rhs, y0: float, x0: float, x1: float, n_max: int,
-                   grid: int, reference=None,
-                   bound_params: tuple[float, float, float] | None = None) -> PicardRun:
+                   grid: int, reference=None) -> PicardRun:
     """Run n_max successive substitutions of the integral equation.
 
     ``rhs(x, y)`` must accept array arguments.  A non-finite sample stops
@@ -88,7 +86,7 @@ def picard_iterate(rhs, y0: float, x0: float, x1: float, n_max: int,
 
     ref = np.asarray(reference(xs), dtype=float) if reference is not None else iterates[-1]
     errors = np.max(np.abs(iterates - ref), axis=1)
-    return PicardRun(xs=xs, iterates=iterates, bound_params=bound_params, errors=errors)
+    return PicardRun(xs=xs, iterates=iterates, errors=errors)
 
 
 def error_bound(M: float, Nlip: float, h: float, n: int) -> float:

@@ -82,7 +82,8 @@ class Trajectory:
     n_distance: np.ndarray
 
 
-def _ordered_product(spec: HamiltonianSpec, t0: float, t: float, steps: int) -> np.ndarray:
+def _ordered_product(spec: HamiltonianSpec, t0: float, t: float, steps: int,
+                     cache: dict) -> np.ndarray:
     """Time-ordered product over (t0, t] with kicks spliced in exactly.
 
     Uniform cells of width (t - t0)/steps are split at interior kick
@@ -91,10 +92,33 @@ def _ordered_product(spec: HamiltonianSpec, t0: float, t: float, steps: int) -> 
     immediately after the evolution reaching its instant.  Kicks at
     exactly t0 fall outside the half-open interval and are skipped here;
     public callers decide whether that is an error.
+
+    ``cache`` belongs to one public call and is dropped with it.  For a
+    kick-free interval of a constant spec (``spec.constant_matrix`` set)
+    it holds the factor of each distinct step width, keyed by the exact
+    float width, and the product of the interval, keyed by its tuple of
+    widths, so each is computed once per call.  A reused value comes from
+    the same ``mat_exp`` argument and the same multiplication order as a
+    fresh one, so the result is bit-identical to recomputing it.  Kicked
+    intervals and other specs take the plain loop and never touch the
+    cache.
     """
     kicks = spec.kicks_between(t0, t)
     kick_at = {k.time: k for k in kicks}
     boundaries = sorted(set(np.linspace(t0, t, steps + 1)) | set(kick_at))
+
+    if spec.constant_matrix is not None and not kick_at:
+        widths = tuple(b - a for a, b in zip(boundaries, boundaries[1:]))
+        u = cache.get(widths)
+        if u is None:
+            u = np.eye(spec.dim, dtype=np.complex128)
+            for width in widths:
+                factor = cache.get(width)
+                if factor is None:
+                    factor = cache[width] = mat_exp(-1j * width * spec.constant_matrix)
+                u = factor @ u
+            cache[widths] = u
+        return u
 
     u = np.eye(spec.dim, dtype=np.complex128)
     prev = boundaries[0]
@@ -126,7 +150,7 @@ def step_propagator(spec: HamiltonianSpec, t0: float, t: float, steps: int) -> n
                 f"kick at t={k.time} coincides with the interval start; kicks "
                 "belong to intervals with time in (t0, t]"
             )
-    return _ordered_product(spec, t0, t, steps)
+    return _ordered_product(spec, t0, t, steps, {})
 
 
 def _gram_spectrum(u: np.ndarray, cond_threshold: float):
@@ -143,14 +167,23 @@ def _gram_spectrum(u: np.ndarray, cond_threshold: float):
     return values, vectors, cond
 
 
+def _as_propagator(u) -> np.ndarray:
+    """``as_matrix`` for a propagator; non-finite entries are an overflow."""
+    m = np.asarray(u, dtype=np.complex128)
+    if not np.all(np.isfinite(m)):
+        raise FloatingPointError("propagator has non-finite entries (overflow)")
+    return as_matrix(m)
+
+
 def normalization_operator(u, cond_threshold: float = COND_THRESHOLD) -> np.ndarray:
     """N = (U U^dagger)^(-1/2), the positive root of (U^dagger)^-1 U^-1.
 
     Hermitian positive definite, and the identity whenever U is unitary.
     Computed spectrally from the Gram matrix U U^dagger, which is the
     positive-sqrt-of-inverse definition evaluated in one eigenbasis.
+    Non-finite entries raise ``FloatingPointError``.
     """
-    u = as_matrix(u)
+    u = _as_propagator(u)
     values, vectors, _ = _gram_spectrum(u, cond_threshold)
     n = (vectors / np.sqrt(values)) @ vectors.conj().T
     return hermitize(n)
@@ -162,8 +195,9 @@ def pitaron(u, t0: float = 0.0, t: float = 0.0,
 
     P agrees with the unitary polar factor of U; the polar route via the
     singular value decomposition is kept separate as an independent check.
+    Non-finite entries raise ``FloatingPointError``.
     """
-    u = as_matrix(u)
+    u = _as_propagator(u)
     values, vectors, cond = _gram_spectrum(u, cond_threshold)
     n = hermitize((vectors / np.sqrt(values)) @ vectors.conj().T)
     p = n @ u
@@ -246,6 +280,12 @@ def evolve_trajectory(
     U(g_{k-1}, t0).  Kicks at grid times land in the cell ending there.
     The initial snapshot is exactly the identity.  ``z_factors`` tracks
     ||U psi0|| / ||psi0|| when a reference state is supplied.
+
+    For a constant spec the whole trajectory shares one factor cache:
+    across its kick-free cells each distinct substep width is
+    exponentiated once and each distinct cell is multiplied out once,
+    with every snapshot bit-identical to the uncached product.  The
+    cache is dropped on return.
     """
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
@@ -271,8 +311,9 @@ def evolve_trajectory(
         )
     ]
     u = eye
+    cache: dict = {}
     for a, b in zip(grid[:-1], grid[1:]):
-        u = _ordered_product(spec, a, b, steps_per_cell) @ u
+        u = _ordered_product(spec, a, b, steps_per_cell, cache) @ u
         snapshots.append(pitaron(u, t0=t0, t=b))
 
     n_distance = np.array([frob(s.N - eye) for s in snapshots])

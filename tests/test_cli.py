@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pitaron_lab.cli import (
@@ -206,6 +207,34 @@ class TestMainEntryPoint:
         path = write_config(tmp_path, "blowup.json", config)
         assert main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_propagator_exits_three(self, tmp_path, capsys):
+        # H = 50i * 1: U = exp(50 t) * 1 is well conditioned but overflows to inf
+        config = {
+            "kind": "evolve",
+            "output_path": "overflow",
+            "params": {"model": "constant",
+                       "matrix": [[[0.0, 50.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 50.0]]],
+                       "t0": 0.0, "t1": 20.0, "grid_points": 2, "steps_per_cell": 1},
+        }
+        path = write_config(tmp_path, "overflow.json", config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "overflow.csv").exists()
+        assert not (tmp_path / "overflow.summary.json").exists()
+
+    def test_library_value_error_exits_two_and_later_configs_run(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(PAULI_CONFIG))
+        bad["output_path"] = "backwards"
+        bad["params"]["t1"] = bad["params"]["t0"]  # passes the schema, rejected by the library
+        p1 = write_config(tmp_path, "bad.json", bad)
+        p2 = write_config(tmp_path, "good.json", PAULI_CONFIG)
+        assert main(["run", str(p1), str(p2), "--out", str(tmp_path)]) == 2
+        assert "config error in" in capsys.readouterr().err
+        assert (tmp_path / "pauli_run.csv").exists()
+        assert (tmp_path / "pauli_run.summary.json").exists()
+        assert not list(tmp_path.glob("backwards*"))
 
     def test_jobs_fan_out(self, tmp_path, capsys):
         p1 = write_config(tmp_path, "one.json", PAULI_CONFIG)

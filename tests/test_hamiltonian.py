@@ -151,3 +151,36 @@ class TestHamiltonianSpec:
     def test_kick_dimension_must_match(self):
         with pytest.raises(ValueError, match="dimension"):
             HamiltonianSpec(dim=2, kicks=(Kick(time=1.0, strength=np.eye(3)),))
+
+
+class TestConstantSpec:
+    def test_sample_returns_the_matrix(self, rng):
+        h = random_ginibre(rng, 3)
+        spec = HamiltonianSpec.constant(h)
+        assert spec.dim == 3
+        assert np.array_equal(spec.sample(0.0), h)
+        assert np.array_equal(spec.sample(7.5), h)
+        assert np.array_equal(spec.smooth(1.0), h)
+
+    def test_stores_a_copy(self):
+        h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        spec = HamiltonianSpec.constant(h)
+        h[0, 0] = 99.0
+        assert spec.sample(0.0)[0, 0] == 1.0
+
+    def test_sample_is_read_only(self):
+        spec = HamiltonianSpec.constant(SIGMA1)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.sample(0.0)[0, 0] = 5.0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            HamiltonianSpec.constant(np.ones((2, 3)))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianSpec.constant([[1.0, np.nan], [0.0, 1.0]])
+
+    def test_rejects_kick_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            HamiltonianSpec.constant(SIGMA1, kicks=(Kick(time=1.0, strength=np.eye(3)),))

@@ -7,6 +7,7 @@ from pitaron_lab.hamiltonian import (
     SIGMA2,
     SIGMA3,
     HamiltonianSpec,
+    Kick,
     dirac_comb_spec,
     hermitian_split,
     nhse_hamiltonian,
@@ -342,3 +343,48 @@ class TestMarkovCheck:
         spec = dirac_comb_spec([0.4], [1.0], dim=1)
         with pytest.raises(ValueError, match="ambiguous"):
             markov_check(spec, 0.0, 1.0, 2.0, 8)
+
+
+def _assert_same_trajectory(a, b):
+    assert np.array_equal(a.grid, b.grid)
+    assert np.array_equal(a.z_factors, b.z_factors)
+    for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+        assert np.array_equal(sa.U, sb.U)
+        assert np.array_equal(sa.N, sb.N)
+        assert np.array_equal(sa.P, sb.P)
+
+
+class TestConstantSpecReuse:
+    """A constant spec reuses factors and cell products bit for bit."""
+
+    @staticmethod
+    def _specs(rng, kick_times):
+        h = 0.4 * random_ginibre(rng, 8)
+        v = random_ginibre(rng, 8)
+        kicks = tuple(Kick(time=t, strength=0.5 * (v + v.conj().T)) for t in kick_times)
+        return (HamiltonianSpec.constant(h, kicks=kicks),
+                HamiltonianSpec(dim=8, smooth=lambda t: h, kicks=kicks))
+
+    # grid over [0, 2] with 9 points has cells of width 0.25
+    @pytest.mark.parametrize("kick_times", [(), (0.3,), (0.5,)],
+                             ids=["no_kick", "kick_inside_cell", "kick_at_grid_time"])
+    def test_trajectory_matches_callable_spec(self, rng, kick_times):
+        constant, callable_spec = self._specs(rng, kick_times)
+        psi = np.ones(8)
+        _assert_same_trajectory(
+            evolve_trajectory(constant, 0.0, 2.0, 9, 5, psi0=psi),
+            evolve_trajectory(callable_spec, 0.0, 2.0, 9, 5, psi0=psi),
+        )
+
+    def test_step_propagator_and_markov_check_match(self, rng):
+        constant, callable_spec = self._specs(rng, (0.3,))
+        assert np.array_equal(step_propagator(constant, 0.0, 1.3, 11),
+                              step_propagator(callable_spec, 0.0, 1.3, 11))
+        assert markov_check(constant, 0.0, 0.7, 1.4, 6) == \
+            markov_check(callable_spec, 0.0, 0.7, 1.4, 6)
+
+    def test_no_cache_outlives_a_call(self, rng):
+        pairs = [self._specs(rng, ()) for _ in range(2)]
+        runs = [evolve_trajectory(c, 0.0, 1.0, 5, 4) for c, _ in pairs]
+        for run, (_, callable_spec) in zip(runs, pairs):
+            _assert_same_trajectory(run, evolve_trajectory(callable_spec, 0.0, 1.0, 5, 4))
