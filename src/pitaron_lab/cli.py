@@ -1,17 +1,25 @@
 """Command-line front door: JSON experiment configs in, CSV + summary out.
 
 Every run writes <output_path>.csv with plot-ready columns and
-<output_path>.summary.json with scalar diagnostics.  Configs are
-validated against a strict per-kind schema (unknown keys are rejected)
-and the pipeline is deterministic for a given config, so re-running
-byte-reproduces the CSV.
+<output_path>.summary.json with scalar diagnostics.  ``KINDS`` is the
+whole config schema: it maps each kind to its runner and to the typed
+fields of each variant (``evolve.model``, ``picard.problem``,
+``counterexample.demo``).  ``validate_config`` checks every key against
+it (unknown and missing keys, types and ranges) and hands the runner
+coerced values, so a runner only computes.  ``output_path`` must be a
+relative path without ``..``, so outputs stay under ``--out``; lists that
+make CSV rows (``T_list``, ``orders``, ``pairs``, ``n_list``) must be
+non-empty.  Checks that join two keys (``psi0`` against the dimension, a
+``hop`` list against ``l``, a kick at ``t0``) stay in the library, which
+raises ``ValueError``.  The pipeline is deterministic for a given config,
+so re-running byte-reproduces the CSV.
 
-Exit codes: 0 success (warnings go to the summary), 2 config or schema
-error, including parameters the library rejects (a ``ValueError`` such
-as t1 <= t0), 3 numerical failure (ill-conditioned propagator and
-friends).  Once every config has loaded, each one runs on its own: a
-failing config writes nothing, the others still run, and the largest
-code is returned.
+Exit codes: 0 success (warnings go to the summary), 2 config error: a
+config that cannot be read, parsed or validated, or parameters the
+library rejects (a ``ValueError`` such as t1 <= t0), 3 numerical failure
+(an ill-conditioned or overflowing propagator and friends).  Each config
+is loaded and run on its own: a failing config writes nothing, the later
+ones still run, and the largest code is returned.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,9 +42,8 @@ from . import propagation as prop
 from . import series
 from . import singular_dynamics as sing
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "main"]
-
-KINDS = ("evolve", "nhse", "comb", "dyson", "picard", "counterexample")
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config",
+           "run_experiment", "main"]
 
 
 class ConfigError(ValueError):
@@ -45,125 +53,140 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    params: dict
+    params: dict  # as written in the config; echoed into the summary
     output_path: str
     seed: int = 42
-
-
-def _fail(msg: str) -> None:
-    raise ConfigError(msg)
-
-
-def _require_keys(params: dict, required: set[str], optional: set[str], where: str) -> None:
-    keys = set(params)
-    unknown = keys - required - optional
-    if unknown:
-        _fail(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - keys
-    if missing:
-        _fail(f"missing keys in {where}: {sorted(missing)}")
-
-
-def _finite_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        _fail(f"{where} must be finite, got {value!r}")
-    return float(value)
-
-
-def _finite_list(value, where: str) -> list[float]:
-    if not isinstance(value, list):
-        _fail(f"{where} must be a list of numbers")
-    return [_finite_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
-
-
-def _positive_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        _fail(f"{where} must be a positive integer, got {value!r}")
-    return value
-
-
-_SCHEMAS = {
-    "evolve": ({"model", "t0", "t1", "grid_points", "steps_per_cell"},
-               {"f1", "f2", "f3", "matrix", "psi0"}),
-    "nhse": ({"l", "onsite", "hop", "gamma", "t0", "t1", "grid_points", "steps_per_cell"},
-             {"psi0"}),
-    "comb": ({"strengths", "times", "dim", "t0", "t1", "grid_points", "steps_per_cell"},
-             set()),
-    "dyson": ({"T_list", "orders", "panels"}, set()),
-    "picard": ({"problem"}, {"g", "x1", "n_max", "grid", "a", "epsilon"}),
-    "counterexample": ({"demo"}, {"t1", "t", "pairs", "kind", "panels", "n_list"}),
-}
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return validate_config(raw, where=str(path))
-
-
-def validate_config(raw, where: str = "config") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        _fail(f"{where}: top level must be an object")
-    _require_keys(raw, {"kind", "params", "output_path"}, {"seed"}, where)
-    kind = raw["kind"]
-    if kind not in KINDS:
-        _fail(f"{where}: unknown kind {kind!r}, expected one of {KINDS}")
-    params = raw["params"]
-    if not isinstance(params, dict):
-        _fail(f"{where}: params must be an object")
-    if not isinstance(raw["output_path"], str) or not raw["output_path"]:
-        _fail(f"{where}: output_path must be a non-empty string")
-    seed = raw.get("seed", 42)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail(f"{where}: seed must be an integer")
-    required, optional = _SCHEMAS[kind]
-    _require_keys(params, required, optional, f"{where}.params")
-    return ExperimentConfig(kind=kind, params=params, output_path=raw["output_path"], seed=seed)
+    values: dict = field(default_factory=dict, compare=False, repr=False)  # coerced params
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# field types: each checks one value and returns it coerced for the runner
 
 
-def _time_profile(name, where: str):
-    if isinstance(name, (int, float)) and not isinstance(name, bool):
-        return _finite_number(name, where)
-    profiles = {"cos": np.cos, "sin": np.sin, "t": lambda t: t}
-    if name not in profiles:
-        _fail(f"{where} must be a number or one of {sorted(profiles)}")
-    return profiles[name]
+def _fail(msg: str):
+    raise ConfigError(msg)
 
 
-def _parse_matrix(data, where: str) -> np.ndarray:
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(f"{where} must be a number, got {value!r}")
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        _fail(f"{where} must be a nested list of [re, im] pairs")
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        _fail(f"{where} must have shape (dim, dim, 2), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        _fail(f"{where} contains non-finite entries")
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _integer(low: int, high: float = math.inf):
+    def check(value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+            _fail(f"{where} must be an integer in [{low}, {high}], got {value!r}")
+        return value
+    return check
+
+
+def _list_of(item, min_length: int = 1):
+    def check(value, where: str) -> list:
+        if not isinstance(value, list) or len(value) < min_length:
+            _fail(f"{where} must be a list of at least {min_length} entries, got {value!r}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def _choice(*options: str):
+    def check(value, where: str) -> str:
+        if value not in options:
+            name = where.rsplit(".", 1)[-1]
+            _fail(f"{where}: unknown {name} {value!r}, expected one of {options}")
+        return value
+    return check
+
+
+_COUNT = _integer(1)
+_NUMBERS = _list_of(_number)
+_PROFILES = {"cos": np.cos, "sin": np.sin, "t": lambda t: t}
+
+
+def _number_or_list(value, where: str):
+    return _NUMBERS(value, where) if isinstance(value, list) else _number(value, where)
+
+
+def _profile(value, where: str):
+    """A constant coefficient, or the name of a time profile."""
+    if isinstance(value, str):
+        return _PROFILES[_choice(*_PROFILES)(value, where)]
+    return _number(value, where)
+
+
+def _width_pair(value, where: str) -> list[float]:
+    pair = _NUMBERS(value, where)
+    if len(pair) != 2:
+        _fail(f"{where} must be an [eps1, eps2] pair, got {value!r}")
+    return pair
+
+
+def _complex_array(value, where: str, ndim: int, expected: str) -> np.ndarray:
+    """Nested lists of [re, im] pairs of finite numbers as a complex array."""
+    try:
+        arr = np.array(value, dtype=object)
+    except ValueError:  # ragged beyond what an object array holds
+        arr = np.empty(())
+    # ndim axes of [re, im] pairs; the last test makes a matrix (ndim 2) square
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[ndim - 1]:
+        _fail(f"{where} must be {expected}")
+    for x in arr.flat:
+        _number(x, where)
+    arr = arr.astype(float)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _parse_psi0(value, dim: int, rng: np.random.Generator, where: str) -> np.ndarray:
-    if value is None or value == "boundary":
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
-    if value == "random":
+def _matrix(value, where: str) -> np.ndarray:
+    return _complex_array(value, where, 2, "a square matrix of [re, im] pairs")
+
+
+def _psi0(value, where: str):
+    """null or 'boundary' (the first basis vector), 'random', or [re, im] amplitudes."""
+    if value in (None, "boundary", "random"):
+        return value
+    return _complex_array(value, where, 1, "'boundary', 'random' or a list of [re, im] pairs")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(f"{where} must be an object")
+    return value
+
+
+def _output_path(value, where: str) -> str:
+    path = Path(value) if isinstance(value, str) and "\0" not in value else Path()
+    if not path.parts or path.is_absolute() or ".." in path.parts:
+        _fail(f"{where} must be a non-empty relative path without '..', got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# experiment runners: each reads cfg.values, already checked against KINDS
+
+
+def _initial_state(psi0, dim: int, seed: int) -> np.ndarray:
+    if isinstance(psi0, np.ndarray):
+        return psi0
+    if psi0 == "random":
+        rng = np.random.default_rng(seed)
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim, 2):
-        _fail(f"{where} must be 'boundary', 'random' or a list of {dim} [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = 1.0
+    return psi
+
+
+def _trajectory(spec: ham.HamiltonianSpec, cfg: ExperimentConfig) -> prop.Trajectory:
+    v = cfg.values
+    return prop.evolve_trajectory(
+        spec, v["t0"], v["t1"], v["grid_points"], v["steps_per_cell"],
+        psi0=_initial_state(v.get("psi0"), spec.dim, cfg.seed),
+    )
 
 
 def _trajectory_rows(traj: prop.Trajectory, n_trunc=None):
@@ -183,38 +206,16 @@ def _trajectory_rows(traj: prop.Trajectory, n_trunc=None):
 
 
 def _run_evolve(cfg: ExperimentConfig):
-    p = cfg.params
-    model = p["model"]
-    rng = np.random.default_rng(cfg.seed)
-    if model == "pauli":
-        for key in ("f1", "f2", "f3"):
-            if key not in p:
-                _fail(f"evolve model 'pauli' needs {key}")
-        spec = ham.pauli_hamiltonian(
-            _time_profile(p["f1"], "params.f1"),
-            _time_profile(p["f2"], "params.f2"),
-            _time_profile(p["f3"], "params.f3"),
-        )
-    elif model == "constant":
-        if "matrix" not in p:
-            _fail("evolve model 'constant' needs matrix")
-        h = _parse_matrix(p["matrix"], "params.matrix")
-        spec = ham.HamiltonianSpec.constant(h)
+    v = cfg.values
+    if v["model"] == "pauli":
+        spec = ham.pauli_hamiltonian(v["f1"], v["f2"], v["f3"])
     else:
-        _fail(f"unknown evolve model {model!r}")
-    t0 = _finite_number(p["t0"], "params.t0")
-    t1 = _finite_number(p["t1"], "params.t1")
-    psi0 = _parse_psi0(p.get("psi0"), spec.dim, rng, "params.psi0")
-    traj = prop.evolve_trajectory(
-        spec, t0, t1,
-        _positive_int(p["grid_points"], "params.grid_points"),
-        _positive_int(p["steps_per_cell"], "params.steps_per_cell"),
-        psi0=psi0,
-    )
+        spec = ham.HamiltonianSpec.constant(v["matrix"])
+    traj = _trajectory(spec, cfg)
     warnings = []
     comm = max(
         ham.hermitian_split(spec.sample(t)).commutator_norm
-        for t in np.linspace(t0, t1, 7)[1:]
+        for t in np.linspace(v["t0"], v["t1"], 7)[1:]
     )
     if comm > 1e-10:
         warnings.append(
@@ -232,25 +233,9 @@ def _run_evolve(cfg: ExperimentConfig):
 
 
 def _run_nhse(cfg: ExperimentConfig):
-    p = cfg.params
-    rng = np.random.default_rng(cfg.seed)
-    l = _positive_int(p["l"], "params.l")
-    h = ham.nhse_hamiltonian(
-        l,
-        _finite_number(p["onsite"], "params.onsite"),
-        p["hop"] if isinstance(p["hop"], list) else _finite_number(p["hop"], "params.hop"),
-        p["gamma"] if isinstance(p["gamma"], list) else _finite_number(p["gamma"], "params.gamma"),
-    )
-    spec = ham.HamiltonianSpec.constant(h)
-    psi0 = _parse_psi0(p.get("psi0", "boundary"), l, rng, "params.psi0")
-    traj = prop.evolve_trajectory(
-        spec,
-        _finite_number(p["t0"], "params.t0"),
-        _finite_number(p["t1"], "params.t1"),
-        _positive_int(p["grid_points"], "params.grid_points"),
-        _positive_int(p["steps_per_cell"], "params.steps_per_cell"),
-        psi0=psi0,
-    )
+    v = cfg.values
+    h = ham.nhse_hamiltonian(v["l"], v["onsite"], v["hop"], v["gamma"])
+    traj = _trajectory(ham.HamiltonianSpec.constant(h), cfg)
     warnings = []
     split = ham.hermitian_split(h)
     if split.commutator_norm > 1e-10:
@@ -270,19 +255,9 @@ def _run_nhse(cfg: ExperimentConfig):
 
 
 def _run_comb(cfg: ExperimentConfig):
-    p = cfg.params
-    strengths = _finite_list(p["strengths"], "params.strengths")
-    times = _finite_list(p["times"], "params.times")
-    spec = ham.dirac_comb_spec(strengths, times, _positive_int(p["dim"], "params.dim"))
-    t1 = _finite_number(p["t1"], "params.t1")
-    traj = prop.evolve_trajectory(
-        spec,
-        _finite_number(p["t0"], "params.t0"),
-        t1,
-        _positive_int(p["grid_points"], "params.grid_points"),
-        _positive_int(p["steps_per_cell"], "params.steps_per_cell"),
-        psi0=_parse_psi0(None, spec.dim, np.random.default_rng(cfg.seed), "psi0"),
-    )
+    v = cfg.values
+    strengths, times, t1 = v["strengths"], v["times"], v["t1"]
+    traj = _trajectory(ham.dirac_comb_spec(strengths, times, v["dim"]), cfg)
     report = sing.comb_expansion_terms(strengths, times, t1)
     pit_re, pit_im = sing.comb_pitaron_expansion(strengths, times, t1)
     warnings = [
@@ -301,29 +276,23 @@ def _run_comb(cfg: ExperimentConfig):
 
 
 def _run_dyson(cfg: ExperimentConfig):
-    p = cfg.params
-    T_list = _finite_list(p["T_list"], "params.T_list")
-    orders = p["orders"]
-    if not isinstance(orders, list) or not all(
-        isinstance(o, int) and not isinstance(o, bool) and 0 <= o <= series.MAX_ORDER
-        for o in orders
-    ):
-        _fail(f"params.orders must be a list of integers in [0, {series.MAX_ORDER}]")
-    panels = _positive_int(p["panels"], "params.panels")
+    v = cfg.values
+    T_list, orders, panels = v["T_list"], v["orders"], v["panels"]
     spec = ham.HamiltonianSpec.constant(ham.SIGMA1)
     rows = []
     for T in T_list:
         exact = prop.step_propagator(spec, 0.0, T, 1)  # constant H: single exact factor
         pit = series.general_pitaron_expansion(spec, 0.0, T, panels)
-        dyson = series.dyson_u(spec, 0.0, T, max(orders, default=0), panels)
+        dyson = series.dyson_u(spec, 0.0, T, max(orders), panels)
         for order in orders:
-            partial = dyson.partial_sums[order]
+            partial_sum = dyson.partial_sums[order]
             pit_partial = pit.partial_sums[min(order, 2)]
             rows.append({
                 "T": T,
                 "order": order,
-                "err_partial": float(np.linalg.norm(partial - exact)),
-                "defect_partial": float(np.linalg.norm(partial.conj().T @ partial - np.eye(2))),
+                "err_partial": float(np.linalg.norm(partial_sum - exact)),
+                "defect_partial": float(np.linalg.norm(
+                    partial_sum.conj().T @ partial_sum - np.eye(2))),
                 "err_pitaron_expansion": float(np.linalg.norm(pit_partial - exact)),
             })
     scalars = {}
@@ -336,18 +305,11 @@ def _run_dyson(cfg: ExperimentConfig):
 
 
 def _run_picard(cfg: ExperimentConfig):
-    p = cfg.params
-    problem = p["problem"]
-    if problem == "exponential":
-        for key in ("g", "x1", "n_max", "grid"):
-            if key not in p:
-                _fail(f"picard problem 'exponential' needs {key}")
-        g = _finite_number(p["g"], "params.g")
-        x1 = _finite_number(p["x1"], "params.x1")
-        n_max = _positive_int(p["n_max"], "params.n_max")
+    v = cfg.values
+    if v["problem"] == "exponential":
+        g, x1, n_max = v["g"], v["x1"], v["n_max"]
         run = pic.picard_iterate(
-            lambda x, y: g * y, 1.0, 0.0, x1, n_max,
-            _positive_int(p["grid"], "params.grid"),
+            lambda x, y: g * y, 1.0, 0.0, x1, n_max, v["grid"],
             reference=lambda x: np.exp(g * x),
         )
         m = math.exp(g * x1)
@@ -358,61 +320,35 @@ def _run_picard(cfg: ExperimentConfig):
         ]
         scalars = {"final_sup_error": float(run.errors[-1])}
         return rows, scalars, []
-    if problem == "delta_breakdown":
-        for key in ("a", "epsilon", "x1", "grid"):
-            if key not in p:
-                _fail(f"picard problem 'delta_breakdown' needs {key}")
-        report = pic.picard_delta_breakdown(
-            _finite_number(p["a"], "params.a"),
-            _finite_number(p["epsilon"], "params.epsilon"),
-            _finite_number(p["x1"], "params.x1"),
-            grid=_positive_int(p["grid"], "params.grid"),
-        )
-        rows = [
-            {"eps1": e, "eps2": e, "second_iterate": v}
-            for e, v in zip(report.eps_sequence, report.symmetric_second_iterates)
-        ] + [
-            {"eps1": pair[0], "eps2": pair[1], "second_iterate": v}
-            for pair, v in zip(report.asymmetric_pairs, report.asymmetric_second_iterates)
-        ]
-        scalars = {
-            "asymmetric_spread": report.asymmetric_spread,
-            "direct_value": report.direct_value,
-        }
-        warnings = [
-            "second iterate of the smeared delta problem has no unique width->0 "
-            f"limit (spread {report.asymmetric_spread:.3f}); the direct solution "
-            f"is {report.direct_value:.6f}"
-        ]
-        return rows, scalars, warnings
-    _fail(f"unknown picard problem {problem!r}")
+    report = pic.picard_delta_breakdown(v["a"], v["epsilon"], v["x1"], grid=v["grid"])
+    rows = [
+        {"eps1": e, "eps2": e, "second_iterate": val}
+        for e, val in zip(report.eps_sequence, report.symmetric_second_iterates)
+    ] + [
+        {"eps1": pair[0], "eps2": pair[1], "second_iterate": val}
+        for pair, val in zip(report.asymmetric_pairs, report.asymmetric_second_iterates)
+    ]
+    scalars = {
+        "asymmetric_spread": report.asymmetric_spread,
+        "direct_value": report.direct_value,
+    }
+    warnings = [
+        "second iterate of the smeared delta problem has no unique width->0 "
+        f"limit (spread {report.asymmetric_spread:.3f}); the direct solution "
+        f"is {report.direct_value:.6f}"
+    ]
+    return rows, scalars, warnings
 
 
 def _run_counterexample(cfg: ExperimentConfig):
-    p = cfg.params
-    demo = p["demo"]
-    if demo == "smearing":
-        for key in ("t1", "t", "pairs", "kind", "panels"):
-            if key not in p:
-                _fail(f"counterexample demo 'smearing' needs {key}")
-        if p["kind"] not in sing.SMEARING_KINDS:
-            _fail(f"params.kind must be one of {sing.SMEARING_KINDS}")
-        pairs = p["pairs"]
-        if not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in pairs
-        ):
-            _fail("params.pairs must be a list of [eps1, eps2] pairs")
-        rows = []
-        for pair in pairs:
-            e1 = _finite_number(pair[0], "params.pairs")
-            e2 = _finite_number(pair[1], "params.pairs")
-            value = sing.smeared_second_order(
-                e1, e2, p["kind"],
-                _finite_number(p["t1"], "params.t1"),
-                _finite_number(p["t"], "params.t"),
-                panels=_positive_int(p["panels"], "params.panels"),
-            )
-            rows.append({"eps1": e1, "eps2": e2, "value": value})
+    v = cfg.values
+    if v["demo"] == "smearing":
+        rows = [
+            {"eps1": e1, "eps2": e2,
+             "value": sing.smeared_second_order(e1, e2, v["kind"], v["t1"], v["t"],
+                                                panels=v["panels"])}
+            for e1, e2 in v["pairs"]
+        ]
         values = [r["value"] for r in rows]
         scalars = {"min_value": min(values), "max_value": max(values)}
         warnings = []
@@ -422,42 +358,106 @@ def _run_counterexample(cfg: ExperimentConfig):
                 f"{max(values) - min(values):.3f} across width pairs"
             )
         return rows, scalars, warnings
-    if demo == "dominated":
-        if "n_list" not in p:
-            _fail("counterexample demo 'dominated' needs n_list")
-        n_list = p["n_list"]
-        if not isinstance(n_list, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_list
-        ):
-            _fail("params.n_list must be a list of integers >= 1")
-        report = sing.dominated_convergence_demos(n_list)
-        rows = [
-            {"n": n, "family1_integral": f1, "family2_integral": f2,
-             "family1_at_1": p1, "family2_at_1": p2}
-            for n, f1, f2, p1, p2 in zip(
-                report.n_values, report.family1_integrals, report.family2_integrals,
-                report.family1_at_1, report.family2_at_1)
-        ]
-        scalars = {
-            "family1_limit_of_integrals": report.family1_integrals[-1],
-            "family2_limit_of_integrals": report.family2_integrals[-1],
-        }
-        warnings = [
-            "integral of the pointwise limit (0) differs from the limit of the "
-            "integrals: dominated convergence fails for both families"
-        ]
-        return rows, scalars, warnings
-    _fail(f"unknown counterexample demo {demo!r}")
+    report = sing.dominated_convergence_demos(v["n_list"])
+    rows = [
+        {"n": n, "family1_integral": f1, "family2_integral": f2,
+         "family1_at_1": p1, "family2_at_1": p2}
+        for n, f1, f2, p1, p2 in zip(
+            report.n_values, report.family1_integrals, report.family2_integrals,
+            report.family1_at_1, report.family2_at_1)
+    ]
+    scalars = {
+        "family1_limit_of_integrals": report.family1_integrals[-1],
+        "family2_limit_of_integrals": report.family2_integrals[-1],
+    }
+    warnings = [
+        "integral of the pointwise limit (0) differs from the limit of the "
+        "integrals: dominated convergence fails for both families"
+    ]
+    return rows, scalars, warnings
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "nhse": _run_nhse,
-    "comb": _run_comb,
-    "dyson": _run_dyson,
-    "picard": _run_picard,
-    "counterexample": _run_counterexample,
+# ---------------------------------------------------------------------------
+# the schema
+
+
+class _Kind(NamedTuple):
+    run: Callable
+    schemas: dict  # variant -> {key: field type}; a kind without variants has only None
+    selector: str | None = None  # the params key that names the variant
+
+
+_TRAJECTORY = {"t0": _number, "t1": _number, "grid_points": _COUNT, "steps_per_cell": _COUNT}
+
+KINDS = {
+    "evolve": _Kind(_run_evolve, {
+        "pauli": {"f1": _profile, "f2": _profile, "f3": _profile, **_TRAJECTORY, "psi0": _psi0},
+        "constant": {"matrix": _matrix, **_TRAJECTORY, "psi0": _psi0},
+    }, selector="model"),
+    "nhse": _Kind(_run_nhse, {None: {
+        "l": _COUNT, "onsite": _number, "hop": _number_or_list, "gamma": _number_or_list,
+        **_TRAJECTORY, "psi0": _psi0,
+    }}),
+    "comb": _Kind(_run_comb, {None: {
+        "strengths": _list_of(_number, 0), "times": _list_of(_number, 0), "dim": _COUNT,
+        **_TRAJECTORY,
+    }}),
+    "dyson": _Kind(_run_dyson, {None: {
+        "T_list": _NUMBERS, "orders": _list_of(_integer(0, series.MAX_ORDER)), "panels": _COUNT,
+    }}),
+    "picard": _Kind(_run_picard, {
+        "exponential": {"g": _number, "x1": _number, "n_max": _COUNT, "grid": _COUNT},
+        "delta_breakdown": {"a": _number, "epsilon": _number, "x1": _number, "grid": _COUNT},
+    }, selector="problem"),
+    "counterexample": _Kind(_run_counterexample, {
+        "smearing": {"t1": _number, "t": _number, "pairs": _list_of(_width_pair),
+                     "kind": _choice(*sing.SMEARING_KINDS), "panels": _COUNT},
+        "dominated": {"n_list": _list_of(_COUNT)},
+    }, selector="demo"),
 }
+
+_CONFIG = {"kind": _choice(*KINDS), "params": _object, "output_path": _output_path,
+           "seed": _integer(0)}
+_DEFAULTS = {"seed": 42, "psi0": None}  # the optional keys
+
+
+def _check(raw, fields: dict, where: str) -> dict:
+    """Every key of ``raw`` checked against ``fields``; absent optional keys take defaults."""
+    _object(raw, where)
+    unknown = raw.keys() - fields.keys()
+    if unknown:
+        _fail(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+    missing = fields.keys() - raw.keys() - _DEFAULTS.keys()
+    if missing:
+        _fail(f"missing keys in {where}: {sorted(missing)}")
+    return {key: check(raw[key], f"{where}.{key}") if key in raw else _DEFAULTS[key]
+            for key, check in fields.items()}
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, nested too deep
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    return validate_config(raw, where=str(path))
+
+
+def validate_config(raw, where: str = "config") -> ExperimentConfig:
+    """Check a parsed config against ``KINDS``; the runner gets the coerced values."""
+    top = _check(raw, _CONFIG, where)
+    kind = KINDS[top["kind"]]
+    fields = kind.schemas.get(None)
+    if kind.selector:
+        select = _choice(*kind.schemas)
+        variant = select(top["params"].get(kind.selector), f"{where}.params.{kind.selector}")
+        fields = {kind.selector: select, **kind.schemas[variant]}
+    return ExperimentConfig(
+        kind=top["kind"], params=top["params"], output_path=top["output_path"],
+        seed=top["seed"], values=_check(top["params"], fields, f"{where}.params"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the summary dict it also writes."""
     started = time.perf_counter()
-    rows, scalars, warnings = _RUNNERS[cfg.kind](cfg)
+    rows, scalars, warnings = KINDS[cfg.kind].run(cfg)
     base = Path(out_dir) / cfg.output_path if out_dir is not None else Path(cfg.output_path)
     base.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(base.with_suffix(".csv"), rows)
@@ -543,37 +543,22 @@ DEMOS = {
 }
 
 
-def _run_paths(config_paths, out_dir, jobs: int) -> int:
-    configs = []
-    for path in config_paths:
-        try:
-            configs.append((path, load_config(path)))
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-
-    def one(item):
-        path, cfg = item
-        try:
-            summary = run_experiment(cfg, out_dir)
-        except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
-            print(f"numerical failure in {path}: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:  # ConfigError or a library argument check
-            print(f"config error in {path}: {exc}", file=sys.stderr)
-            return 2
-        for warning in summary["warnings"]:
-            print(f"warning [{cfg.output_path}]: {warning}")
-        print(f"wrote {cfg.output_path}.csv and {cfg.output_path}.summary.json "
-              f"({summary['wall_time_ms']:.0f} ms)")
-        return 0
-
-    if jobs > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(one, configs))
-    else:
-        codes = [one(item) for item in configs]
-    return max(codes, default=0)
+def _run_config(where: str, load: Callable[[], ExperimentConfig], out_dir) -> int:
+    """Load, validate and run one config; returns its exit code."""
+    try:
+        cfg = load()
+        summary = run_experiment(cfg, out_dir)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numerical failure in {where}: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # ConfigError or a library argument check
+        print(f"config error in {where}: {exc}", file=sys.stderr)
+        return 2
+    for warning in summary["warnings"]:
+        print(f"warning [{cfg.output_path}]: {warning}")
+    print(f"wrote {cfg.output_path}.csv and {cfg.output_path}.summary.json "
+          f"({summary['wall_time_ms']:.0f} ms)")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -584,28 +569,17 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one or more config files")
     run_p.add_argument("configs", nargs="+", help="JSON config paths")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel config fan-out")
     run_p.add_argument("--out", default=None, help="output directory")
     demo_p = sub.add_parser("demo", help="run a builtin demo config")
     demo_p.add_argument("name", choices=sorted(DEMOS))
     demo_p.add_argument("--out", default=None, help="output directory")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _run_paths(args.configs, args.out, args.jobs)
-    cfg = validate_config(DEMOS[args.name], where=f"demo:{args.name}")
-    try:
-        summary = run_experiment(cfg, args.out)
-    except (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    for warning in summary["warnings"]:
-        print(f"warning: {warning}")
-    print(f"wrote {cfg.output_path}.csv and {cfg.output_path}.summary.json")
-    return 0
+    if args.command == "demo":
+        where = f"demo:{args.name}"
+        return _run_config(where, partial(validate_config, DEMOS[args.name], where), args.out)
+    return max([_run_config(path, partial(load_config, path), args.out)
+                for path in args.configs])
 
 
 if __name__ == "__main__":

@@ -300,6 +300,8 @@ def evolve_trajectory(
 
     if psi0 is not None:
         psi0 = np.asarray(psi0, dtype=np.complex128)
+        if psi0.shape != (spec.dim,):
+            raise ValueError(f"reference state must have shape ({spec.dim},), got {psi0.shape}")
         if np.linalg.norm(psi0) == 0.0:
             raise ValueError("reference state must be nonzero")
 

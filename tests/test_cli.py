@@ -40,6 +40,12 @@ COMB_CONFIG = {
                "dim": 1, "t0": 0.0, "t1": 5.0, "grid_points": 26, "steps_per_cell": 2},
 }
 
+DYSON_CONFIG = {
+    "kind": "dyson",
+    "output_path": "dyson_run",
+    "params": {"T_list": [0.1, 0.2], "orders": [1, 2], "panels": 4},
+}
+
 
 class TestConfigValidation:
     def test_load_happy_path(self, tmp_path):
@@ -224,6 +230,20 @@ class TestMainEntryPoint:
         assert not (tmp_path / "overflow.csv").exists()
         assert not (tmp_path / "overflow.summary.json").exists()
 
+    def test_math_overflow_exits_three(self, tmp_path, capsys):
+        # exp(g * x1) = exp(1000) in the a-priori bound raises OverflowError
+        config = {
+            "kind": "picard",
+            "output_path": "overflow",
+            "params": {"problem": "exponential", "g": 1000.0, "x1": 1.0, "n_max": 3,
+                       "grid": 64},
+        }
+        path = write_config(tmp_path, "picard.json", config)
+        with np.errstate(over="ignore"):
+            assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("overflow.*"))
+
     def test_library_value_error_exits_two_and_later_configs_run(self, tmp_path, capsys):
         bad = json.loads(json.dumps(PAULI_CONFIG))
         bad["output_path"] = "backwards"
@@ -239,10 +259,44 @@ class TestMainEntryPoint:
     def test_jobs_fan_out(self, tmp_path, capsys):
         p1 = write_config(tmp_path, "one.json", PAULI_CONFIG)
         p2 = write_config(tmp_path, "two.json", COMB_CONFIG)
-        assert main(["run", str(p1), str(p2), "--jobs", "2",
+        assert main(["run", str(p1), str(p2),
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "pauli_run.csv").exists()
         assert (tmp_path / "comb_run.csv").exists()
+
+    @pytest.mark.parametrize("base, section, key, value", [
+        (PAULI_CONFIG, "params", "psi0", {"a": 1}),
+        (PAULI_CONFIG, "params", "f1", [1]),
+        (PAULI_CONFIG, "params", "t1", 10**400),
+        (DYSON_CONFIG, "params", "orders", []),
+        (DYSON_CONFIG, "params", "T_list", []),
+        (PAULI_CONFIG, None, "output_path", "../escaped/x"),
+        (PAULI_CONFIG, None, "output_path", "a/../../x"),
+        (PAULI_CONFIG, None, "output_path", "ABSOLUTE"),
+    ], ids=["psi0-object", "f1-list", "t1-huge-int", "orders-empty", "T_list-empty", "output-dotdot",
+            "output-inner-dotdot", "output-absolute"])
+    def test_schema_escape_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                       base, section, key, value):
+        raw = json.loads(json.dumps(base))
+        if value == "ABSOLUTE":
+            value = str(tmp_path / "absolute" / "x")
+        (raw[section] if section else raw)[key] = value
+        root = tmp_path / "root"
+        root.mkdir()
+        path = write_config(root, "escape.json", raw)
+        assert main(["run", str(path), "--out", str(root / "out")]) == 2
+        assert "config error in" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    @pytest.mark.parametrize("text", [b"{oops", b"[" * 100_000, b"\xff\xfe"],
+                             ids=["malformed", "nested-too-deep", "not-utf8"])
+    def test_unloadable_config_does_not_stop_later_configs(self, tmp_path, capsys, text):
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(text)
+        good = write_config(tmp_path, "good.json", PAULI_CONFIG)
+        assert main(["run", str(broken), str(good), "--out", str(tmp_path)]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+        assert (tmp_path / "pauli_run.csv").exists()
 
     def test_demo_command(self, tmp_path, capsys):
         assert main(["demo", "dimb", "--out", str(tmp_path)]) == 0
