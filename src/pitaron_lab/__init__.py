@@ -21,7 +21,6 @@ from .linalg import (
     hermitian_eig,
     lyapunov_solve,
     mat_exp,
-    polar_unitary_factor,
     positive_sqrt,
     unitarity_defect,
 )

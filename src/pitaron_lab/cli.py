@@ -15,8 +15,9 @@ raises ``ValueError``.  The pipeline is deterministic for a given config,
 so re-running byte-reproduces the CSV.
 
 Exit codes: 0 success (warnings go to the summary), 2 config error: a
-config that cannot be read, parsed or validated, or parameters the
-library rejects (a ``ValueError`` such as t1 <= t0), 3 numerical failure
+config that cannot be read, parsed or validated, parameters the library
+rejects (a ``ValueError`` such as t1 <= t0), or outputs that cannot be
+written (an ``OSError`` such as a file name too long), 3 numerical failure
 (an ill-conditioned or overflowing propagator and friends).  Each config
 is loaded and run on its own: a failing config writes nothing, the later
 ones still run, and the largest code is returned.
@@ -25,6 +26,7 @@ ones still run, and the largest code is returned.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -479,23 +481,32 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Execute one experiment; returns the summary dict it also writes."""
+    """Execute one experiment; returns the summary dict it also writes.
+
+    An ``OSError`` while writing is raised after both outputs are removed.
+    """
     started = time.perf_counter()
     rows, scalars, warnings = KINDS[cfg.kind].run(cfg)
     base = Path(out_dir) / cfg.output_path if out_dir is not None else Path(cfg.output_path)
     base.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(base.with_suffix(".csv"), rows)
-    summary = {
-        "kind": cfg.kind,
-        "params": cfg.params,
-        "seed": cfg.seed,
-        "results": scalars,
-        "warnings": warnings,
-        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
-    }
-    base.with_suffix(".summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    csv_path = base.with_name(base.name + ".csv")
+    summary_path = base.with_name(base.name + ".summary.json")
+    try:
+        _write_csv(csv_path, rows)
+        summary = {
+            "kind": cfg.kind,
+            "params": cfg.params,
+            "seed": cfg.seed,
+            "results": scalars,
+            "warnings": warnings,
+            "wall_time_ms": (time.perf_counter() - started) * 1000.0,
+        }
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError:
+        for path in (csv_path, summary_path):
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     return summary
 
 
@@ -553,6 +564,9 @@ def _run_config(where: str, load: Callable[[], ExperimentConfig], out_dir) -> in
         return 3
     except ValueError as exc:  # ConfigError or a library argument check
         print(f"config error in {where}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write the outputs of {where}: {exc}", file=sys.stderr)
         return 2
     for warning in summary["warnings"]:
         print(f"warning [{cfg.output_path}]: {warning}")

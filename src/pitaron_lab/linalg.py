@@ -2,10 +2,10 @@
 
 Everything downstream (propagators, normalization operators, expansions)
 compiles down to the handful of primitives in this module: matrix
-exponentials, Hermitian eigendecompositions, positive square roots, polar
-unitary factors and Lyapunov solves.  All matrices are square complex128
-numpy arrays, validated on entry.  Target dimensions are desk scale
-(dim <= 64); storage is always dense.
+exponentials, Hermitian eigendecompositions, positive square roots and
+Lyapunov solves.  All matrices are square complex128 numpy arrays,
+validated on entry.  Target dimensions are desk scale (dim <= 64);
+storage is always dense.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "mat_exp",
     "hermitian_eig",
     "positive_sqrt",
-    "polar_unitary_factor",
     "lyapunov_solve",
 ]
 
@@ -146,23 +145,6 @@ def positive_sqrt(a, tol: float = PD_CLAMP_TOL) -> np.ndarray:
     values[values < 0.0] = 0.0
     root = (es.vectors * np.sqrt(values)) @ es.vectors.conj().T
     return hermitize(root)
-
-
-def polar_unitary_factor(a, cond_threshold: float = COND_THRESHOLD) -> np.ndarray:
-    """Unitary factor W of the polar decomposition A = S @ W, S Hermitian PD.
-
-    Computed from the singular value decomposition, so it is independent
-    of the eigendecomposition route used elsewhere and serves as an
-    oracle for the unitarized propagator.
-    """
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a)
-    if s[-1] == 0.0 or s[0] / s[-1] > cond_threshold:
-        raise np.linalg.LinAlgError(
-            f"input too ill-conditioned for a polar factor: cond = "
-            f"{np.inf if s[-1] == 0.0 else s[0] / s[-1]:.3e}"
-        )
-    return u @ vh
 
 
 def lyapunov_solve(n, q, tol: float = PD_CLAMP_TOL) -> np.ndarray:

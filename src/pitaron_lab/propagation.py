@@ -1,11 +1,12 @@
 """Propagator construction and unitarization.
 
 ``step_propagator`` builds U(t, t0) as an ordered product of short-time
-exponentials with exact kick factors.  ``normalization_operator`` forms
-N = (U U^dagger)^(-1/2) from the definition, ``pitaron`` assembles the
-manifestly unitary P = N @ U, and the three right-hand-side routines
-evaluate the evolution laws claimed for dN/dt so tests can compare them
-against finite differences of the definition.
+exponentials with exact kick factors.  ``pitaron`` is the one place that
+unitarizes: from one singular value decomposition of U it forms
+N = (U U^dagger)^(-1/2), the manifestly unitary P = N @ U and the
+condition number of U (``normalization_operator`` is its N).  The three
+right-hand-side routines evaluate the evolution laws claimed for dN/dt
+so tests can compare them against finite differences of the definition.
 
 Kick convention: a kick at time tau belongs to every interval with
 tau in (t0, t], i.e. left-open and right-closed.  This makes ordered
@@ -57,9 +58,12 @@ class PropagatorTriple:
     """U, N and P = N @ U for one interval, with unitarity diagnostics.
 
     ``defect_U`` and ``defect_P`` are Frobenius norms of A^dagger A - 1;
-    ``cond_U`` is the 2-norm condition number of U.  P is exactly N @ U
-    by construction; its defect sits at rounding level (roughly machine
-    epsilon times cond_U squared) as long as U is well conditioned.
+    ``cond_U`` is the 2-norm condition number of U.  P is the unitary
+    polar factor W V^dagger of U = W Sigma V^dagger, so ``defect_P`` sits
+    at rounding level (a few dim * eps) for every P returned, whatever
+    cond_U is below the threshold.  N and P carry errors of order
+    eps * cond_U (not eps * cond_U^2), and P equals N @ U to within about
+    dim * eps * cond_U.
     """
 
     t0: float
@@ -153,61 +157,56 @@ def step_propagator(spec: HamiltonianSpec, t0: float, t: float, steps: int) -> n
     return _ordered_product(spec, t0, t, steps, {})
 
 
-def _gram_spectrum(u: np.ndarray, cond_threshold: float):
-    """Eigensystem of U U^dagger plus the implied condition number of U."""
-    m = hermitize(u @ u.conj().T)
-    values, vectors = np.linalg.eigh(m)
-    if values[0] <= 0.0:
-        raise np.linalg.LinAlgError("propagator is numerically singular")
-    cond = float(np.sqrt(values[-1] / values[0]))
-    if cond > cond_threshold:
-        raise np.linalg.LinAlgError(
-            f"propagator too ill-conditioned to normalize: cond = {cond:.3e}"
-        )
-    return values, vectors, cond
-
-
 def _as_propagator(u) -> np.ndarray:
     """``as_matrix`` for a propagator; non-finite entries are an overflow."""
-    m = np.asarray(u, dtype=np.complex128)
-    if not np.all(np.isfinite(m)):
-        raise FloatingPointError("propagator has non-finite entries (overflow)")
-    return as_matrix(m)
+    try:
+        return as_matrix(u)
+    except ValueError:
+        if not np.all(np.isfinite(np.asarray(u, dtype=np.complex128))):
+            raise FloatingPointError("propagator has non-finite entries (overflow)") from None
+        raise
 
 
 def normalization_operator(u, cond_threshold: float = COND_THRESHOLD) -> np.ndarray:
     """N = (U U^dagger)^(-1/2), the positive root of (U^dagger)^-1 U^-1.
 
     Hermitian positive definite, and the identity whenever U is unitary.
-    Computed spectrally from the Gram matrix U U^dagger, which is the
-    positive-sqrt-of-inverse definition evaluated in one eigenbasis.
-    Non-finite entries raise ``FloatingPointError``.
+    This is ``pitaron(u).N``: W Sigma^-1 W^dagger from the singular value
+    decomposition U = W Sigma V^dagger, accurate to about eps * cond_U
+    relative to ||N||.  Non-finite entries raise ``FloatingPointError``.
     """
-    u = _as_propagator(u)
-    values, vectors, _ = _gram_spectrum(u, cond_threshold)
-    n = (vectors / np.sqrt(values)) @ vectors.conj().T
-    return hermitize(n)
+    return pitaron(u, cond_threshold=cond_threshold).N
 
 
 def pitaron(u, t0: float = 0.0, t: float = 0.0,
             cond_threshold: float = COND_THRESHOLD) -> PropagatorTriple:
     """Assemble the unitarized triple (U, N, P = N @ U) with diagnostics.
 
-    P agrees with the unitary polar factor of U; the polar route via the
-    singular value decomposition is kept separate as an independent check.
-    Non-finite entries raise ``FloatingPointError``.
+    One singular value decomposition U = W Sigma V^dagger gives all of
+    it: N = W Sigma^-1 W^dagger, P = W V^dagger (the unitary polar factor
+    of U, which N @ U equals in exact arithmetic), cond_U = sigma_max /
+    sigma_min and defect_U = ||Sigma^2 - 1||, which is ||U^dagger U - 1||_F
+    because U^dagger U - 1 = V (Sigma^2 - 1) V^dagger.  A singular U, or
+    one with cond_U above ``cond_threshold``, raises ``LinAlgError``;
+    non-finite entries raise ``FloatingPointError``.
     """
     u = _as_propagator(u)
-    values, vectors, cond = _gram_spectrum(u, cond_threshold)
-    n = hermitize((vectors / np.sqrt(values)) @ vectors.conj().T)
-    p = n @ u
+    w, s, vh = np.linalg.svd(u)
+    if s[-1] == 0.0:
+        raise np.linalg.LinAlgError("propagator is numerically singular")
+    cond = float(s[0] / s[-1])
+    if cond > cond_threshold:
+        raise np.linalg.LinAlgError(
+            f"propagator too ill-conditioned to normalize: cond = {cond:.3e}"
+        )
+    p = w @ vh
     return PropagatorTriple(
         t0=t0,
         t=t,
         U=u,
-        N=n,
+        N=hermitize((w / s) @ w.conj().T),
         P=p,
-        defect_U=unitarity_defect(u),
+        defect_U=frob(s * s - 1.0),
         defect_P=unitarity_defect(p),
         cond_U=cond,
     )

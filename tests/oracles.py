@@ -2,8 +2,11 @@
 
 These deliberately avoid the code paths they verify: the exponential is
 a plain term-by-term series without scaling, the Lyapunov integral is a
-Gauss-Legendre quadrature that never eigendecomposes, and the double
-integral is a brute-force sum over the ordered triangle.
+Gauss-Legendre quadrature that never eigendecomposes, the unitary polar
+factor comes from a Newton iteration built on matrix inverses rather
+than a singular value decomposition, and the double integral is a
+brute-force sum over the ordered triangle.  Nothing here imports
+``pitaron_lab`` (``test_oracles.py`` checks this).
 """
 
 from __future__ import annotations
@@ -48,6 +51,28 @@ def lyapunov_quadrature(n: np.ndarray, q: np.ndarray, panel_width: float = 0.25)
             total = total + w * (e @ q @ e)
         e_start = e_start @ e_width
     return total
+
+
+def newton_polar(a: np.ndarray, max_iter: int = 30) -> np.ndarray:
+    """Unitary polar factor of a nonsingular A by the scaled Newton iteration.
+
+    X <- (gamma X + X^-dagger / gamma) / 2 from X = A, with the Frobenius
+    scaling gamma = (||X^-1||_F / ||X||_F)^(1/2) while steps exceed 1e-2
+    and gamma = 1 after (Higham, SIAM J. Sci. Stat. Comput. 7 (1986)
+    1160).  Convergence is quadratic, so once a relative step falls below
+    1e-8 the iterate is at rounding level.
+    """
+    x = np.asarray(a, dtype=complex)
+    step = np.inf
+    for _ in range(max_iter):
+        x_inv_h = np.linalg.inv(x).conj().T
+        gamma = np.sqrt(np.linalg.norm(x_inv_h) / np.linalg.norm(x)) if step > 1e-2 else 1.0
+        nxt = (gamma * x + x_inv_h / gamma) / 2
+        step = np.linalg.norm(nxt - x) / np.linalg.norm(nxt)
+        x = nxt
+        if step <= 1e-8:
+            return x
+    raise RuntimeError(f"Newton polar iteration did not converge in {max_iter} steps")
 
 
 def triangle_commutator_quadrature(sample, t0: float, t: float,

@@ -12,9 +12,9 @@ import pytest
 
 import pitaron_lab as pl
 from pitaron_lab.hamiltonian import SIGMA1, SIGMA3, HamiltonianSpec
-from pitaron_lab.linalg import frob, mat_exp, polar_unitary_factor, unitarity_defect
+from pitaron_lab.linalg import frob, mat_exp, unitarity_defect
 
-from oracles import lyapunov_quadrature, random_ginibre, random_pd
+from oracles import lyapunov_quadrature, newton_polar, random_ginibre, random_pd
 
 NONHER_HH = np.diag([1.0, 2.0]).astype(complex)
 NONHER_J = np.diag([0.3, -0.1]).astype(complex)
@@ -34,11 +34,11 @@ def test_c01_pitaron_unitarity_and_polar_oracle():
         u = random_ginibre(rng, dim)
         triple = pl.pitaron(u)
         worst_defect = max(worst_defect, triple.defect_P)
-        worst_polar = max(worst_polar, frob(triple.P - polar_unitary_factor(u)))
+        worst_polar = max(worst_polar, frob(triple.P - newton_polar(u)))
     assert worst_defect <= 1e-10
     assert worst_polar <= 1e-9
     _ok(1, f"200 random dims 2-16: max ||P^dag P - 1|| = {worst_defect:.2e} <= 1e-10, "
-           f"max ||P - svd polar|| = {worst_polar:.2e} <= 1e-9")
+           f"max ||P - Newton polar|| = {worst_polar:.2e} <= 1e-9")
 
 
 def test_c02_bounded_hermitian_triviality():

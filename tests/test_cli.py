@@ -264,6 +264,31 @@ class TestMainEntryPoint:
         assert (tmp_path / "pauli_run.csv").exists()
         assert (tmp_path / "comb_run.csv").exists()
 
+    def test_dotted_output_paths_write_distinct_files(self, tmp_path, capsys):
+        paths = []
+        for name in ("run.v1", "run.v2"):
+            raw = json.loads(json.dumps(COMB_CONFIG))
+            raw["output_path"] = name
+            paths.append(str(write_config(tmp_path, f"{name}.json", raw)))
+        out = tmp_path / "out"
+        assert main(["run", *paths, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "run.v1.csv", "run.v1.summary.json", "run.v2.csv", "run.v2.summary.json"]
+        printed = capsys.readouterr().out
+        for name in ("run.v1", "run.v2"):
+            assert f"wrote {name}.csv and {name}.summary.json" in printed
+
+    def test_unwritable_output_exits_two_and_leaves_no_file(self, tmp_path, capsys):
+        # 250 characters fit with ".csv" but not with ".summary.json" (255-byte names)
+        long = json.loads(json.dumps(COMB_CONFIG))
+        long["output_path"] = "x" * 250
+        p1 = write_config(tmp_path, "long.json", long)
+        p2 = write_config(tmp_path, "good.json", PAULI_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", str(p1), str(p2), "--out", str(out)]) == 2
+        assert "cannot write the outputs of" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["pauli_run.csv", "pauli_run.summary.json"]
+
     @pytest.mark.parametrize("base, section, key, value", [
         (PAULI_CONFIG, "params", "psi0", {"a": 1}),
         (PAULI_CONFIG, "params", "f1", [1]),

@@ -9,10 +9,10 @@ from pitaron_lab.linalg import (
     hermitian_eig,
     lyapunov_solve,
     mat_exp,
-    polar_unitary_factor,
     positive_sqrt,
     unitarity_defect,
 )
+from pitaron_lab.propagation import pitaron
 
 from oracles import lyapunov_quadrature, random_ginibre, random_pd, random_unitary, series_exp
 
@@ -120,26 +120,28 @@ class TestPositiveSqrt:
 
 
 class TestPolarUnitaryFactor:
+    """The unitary polar factor of A is P of ``pitaron(A)``."""
+
     def test_unitary_fixed_point(self, rng):
         w = random_unitary(rng, 5)
-        assert frob(polar_unitary_factor(w) - w) < 1e-13
+        assert frob(pitaron(w).P - w) < 1e-13
 
     def test_positive_diagonal(self):
-        assert_allclose(polar_unitary_factor(np.diag([2.0, 0.5])), np.eye(2), atol=1e-14)
+        assert_allclose(pitaron(np.diag([2.0, 0.5])).P, np.eye(2), atol=1e-14)
 
     def test_phase_of_diagonal(self):
         a = np.diag([2 * np.exp(1j * np.pi / 4), 3.0])
         expected = np.diag([np.exp(1j * np.pi / 4), 1.0])
-        assert_allclose(polar_unitary_factor(a), expected, atol=1e-14)
+        assert_allclose(pitaron(a).P, expected, atol=1e-14)
 
     def test_factor_is_unitary(self, rng):
         for dim in (2, 8, 12):
-            w = polar_unitary_factor(random_ginibre(rng, dim))
+            w = pitaron(random_ginibre(rng, dim)).P
             assert unitarity_defect(w) < 1e-12
 
     def test_rejects_singular(self):
-        with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
-            polar_unitary_factor(np.diag([1.0, 0.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            pitaron(np.diag([1.0, 0.0]))
 
 
 class TestLyapunovSolve:

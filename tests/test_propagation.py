@@ -13,7 +13,7 @@ from pitaron_lab.hamiltonian import (
     nhse_hamiltonian,
     pauli_hamiltonian,
 )
-from pitaron_lab.linalg import frob, mat_exp, polar_unitary_factor
+from pitaron_lab.linalg import frob, mat_exp
 from pitaron_lab.propagation import (
     evolve_trajectory,
     general_n_rhs,
@@ -26,13 +26,15 @@ from pitaron_lab.propagation import (
     z_factor,
 )
 
-from oracles import random_ginibre, random_unitary
+from oracles import newton_polar, random_ginibre, random_unitary
 
 DIMB_STRENGTHS = [0.6, 1.0, 1.2, 0.8]
 DIMB_TIMES = [1.0, 2.0, 3.0, 4.0]
 
 # constant commuting non-Hermitian family: H = diag(1,2) - i diag(0.3,-0.1)
 NONHER_H = np.diag([1.0, 2.0]) - 1j * np.diag([0.3, -0.1])
+
+EPS = np.finfo(float).eps
 
 
 class TestStepPropagator:
@@ -126,13 +128,45 @@ class TestPitaron:
             u = random_ginibre(rng, dim)
             triple = pitaron(u)
             assert triple.defect_P < 1e-10
-            assert frob(triple.P - polar_unitary_factor(u)) < 1e-9
-            assert frob(triple.P - triple.N @ triple.U) == 0.0
+            assert frob(triple.P - newton_polar(u)) < 1e-9
+            # P = W V^dagger and N = W Sigma^-1 W^dagger agree with P = N U to rounding
+            assert frob(triple.P - triple.N @ triple.U) <= 8 * dim * EPS * triple.cond_U
 
     def test_n_is_hermitian_positive_definite(self, rng):
         triple = pitaron(random_ginibre(rng, 7))
         assert frob(triple.N - triple.N.conj().T) < 1e-13
         assert np.all(np.linalg.eigvalsh(triple.N) > 0)
+
+
+class TestIllConditionedUnitarization:
+    def test_cond_sweep_defect_at_rounding(self, rng):
+        dim = 8
+        for exponent in range(2, 12):
+            cond = 10.0**exponent
+            q1, q2 = random_unitary(rng, dim), random_unitary(rng, dim)
+            triple = pitaron((q1 * np.logspace(0, -exponent, dim)) @ q2.conj().T)
+            assert triple.defect_P <= 1e-12
+            assert frob(triple.P - q1 @ q2.conj().T) <= 8 * dim * EPS * cond
+            # storing U rounds sigma_min by ~eps * sigma_max, i.e. eps * cond relative
+            assert abs(triple.cond_U / cond - 1.0) <= dim * EPS * cond
+
+    def test_rejects_cond_above_threshold(self, rng):
+        q1, q2 = random_unitary(rng, 8), random_unitary(rng, 8)
+        with pytest.raises(np.linalg.LinAlgError, match="cond"):
+            pitaron((q1 * np.logspace(0, -13, 8)) @ q2.conj().T)
+
+    def test_nhse_trajectory_defect_at_rounding(self):
+        spec = HamiltonianSpec.constant(nhse_hamiltonian(16, 0.0, 1.0, 0.5))
+        traj = evolve_trajectory(spec, 0.0, 10.0, 41, 20)
+        assert max(s.defect_P for s in traj.snapshots) <= 1e-12
+        assert traj.snapshots[-1].cond_U > 1e6
+
+    def test_nhse_close_to_threshold_completes(self):
+        spec = HamiltonianSpec.constant(nhse_hamiltonian(16, 0.0, 1.0, 0.8))
+        traj = evolve_trajectory(spec, 0.0, 10.0, 41, 20)
+        worst = max(s.cond_U for s in traj.snapshots)
+        assert 1e11 < worst < 1e12
+        assert max(s.defect_P for s in traj.snapshots) <= 1e-12
 
 
 class TestZFactor:
