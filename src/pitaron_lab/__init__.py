@@ -44,8 +44,6 @@ from .series import (
     dyson_u_inverse,
     general_norm_expansion,
     general_pitaron_expansion,
-    norm_expansion_hermitian,
-    pitaron_expansion_hermitian,
 )
 from .singular_dynamics import (
     CombExpansionReport,

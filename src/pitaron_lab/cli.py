@@ -300,7 +300,7 @@ def _run_dyson(cfg: ExperimentConfig):
     scalars = {}
     for order in orders:
         errs = [r["err_partial"] for r in rows if r["order"] == order]
-        if len(T_list) >= 2 and max(errs) > 1e-13:
+        if len(set(T_list)) >= 2 and max(errs) > 1e-13:
             slope, _ = np.polyfit(np.log(T_list), np.log(errs), 1)
             scalars[f"slope_order_{order}"] = float(slope)
     return rows, scalars, []
@@ -314,10 +314,13 @@ def _run_picard(cfg: ExperimentConfig):
             lambda x, y: g * y, 1.0, 0.0, x1, n_max, v["grid"],
             reference=lambda x: np.exp(g * x),
         )
-        m = math.exp(g * x1)
+        # |y_n| <= e^{|g| x} on [0, x1], so K = max(|g|, 1) is a Lipschitz
+        # constant of f = g y and K e^{|g| x1} bounds |f| for every finite g
+        k = max(abs(g), 1.0)
+        m = k * math.exp(abs(g) * x1)
         rows = [
             {"n": n, "sup_error": float(run.errors[n]),
-             "bound": pic.error_bound(m, g if g > 0 else 1.0, x1, n) if n >= 1 else float("nan")}
+             "bound": pic.error_bound(m, k, x1, n) if n >= 1 else float("nan")}
             for n in range(n_max + 1)
         ]
         scalars = {"final_sup_error": float(run.errors[-1])}

@@ -137,6 +137,16 @@ def _ordered_product(spec: HamiltonianSpec, t0: float, t: float, steps: int,
     return u
 
 
+def _check_interval(spec: HamiltonianSpec, t0: float, t: float) -> None:
+    if not t > t0:
+        raise ValueError(f"need t > t0, got t0={t0}, t={t}")
+    if any(k.time == t0 for k in spec.kicks):
+        raise ValueError(
+            f"kick at t={t0} coincides with the interval start; kicks "
+            "belong to intervals with time in (t0, t]"
+        )
+
+
 def step_propagator(spec: HamiltonianSpec, t0: float, t: float, steps: int) -> np.ndarray:
     """U(t, t0) over ``steps`` uniform substeps with exact kick factors.
 
@@ -146,14 +156,7 @@ def step_propagator(spec: HamiltonianSpec, t0: float, t: float, steps: int) -> n
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if not t > t0:
-        raise ValueError(f"need t > t0, got t0={t0}, t={t}")
-    for k in spec.kicks:
-        if k.time == t0:
-            raise ValueError(
-                f"kick at t={k.time} coincides with the interval start; kicks "
-                "belong to intervals with time in (t0, t]"
-            )
+    _check_interval(spec, t0, t)
     return _ordered_product(spec, t0, t, steps, {})
 
 
@@ -288,13 +291,7 @@ def evolve_trajectory(
     """
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got t0={t0}, t1={t1}")
-    for k in spec.kicks:
-        if k.time == t0:
-            raise ValueError(
-                f"kick at t={k.time} coincides with the trajectory start"
-            )
+    _check_interval(spec, t0, t1)
     grid = np.linspace(t0, t1, grid_points)
 
     if psi0 is not None:

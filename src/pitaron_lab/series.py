@@ -6,6 +6,11 @@ t0 < t_k < ... < t_1 < t, evaluated by composite Simpson at every level
 with the inner upper limit re-gridded to the outer variable.  That form
 is the construction under study here, so it is never replaced by the
 productive (Fubini-swapped) form even where the two agree analytically.
+One nested pass to the highest order needed yields every lower order
+too, so each expansion samples H through a single quadrature.
+
+The N and P expansions keep every adjoint separate, so they hold for
+non-Hermitian H; for Hermitian H they reduce to the textbook forms.
 
 Second-order commutator and anticommutator integrals are assembled from
 the shared iterated integral and its adjoint; by linearity of the
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec
-from .linalg import HERMITICITY_TOL, frob, hermiticity_defect
+from .linalg import frob
 
 MAX_ORDER = 4  # nested quadrature cost grows as panels**order
 
@@ -34,8 +39,6 @@ __all__ = [
     "SeriesExpansion",
     "dyson_u",
     "dyson_u_inverse",
-    "norm_expansion_hermitian",
-    "pitaron_expansion_hermitian",
     "general_norm_expansion",
     "general_pitaron_expansion",
     "convergence_order",
@@ -90,49 +93,46 @@ def _check_order(order: int) -> None:
 
 
 def _iterated(spec: HamiltonianSpec, t0: float, upper: float, depth: int,
-              panels: int) -> np.ndarray:
-    """Nested integral of H(t_1) ... H(t_depth) over t0 < t_depth < ... < t_1 < upper."""
-    if depth == 0:
-        return np.eye(spec.dim, dtype=np.complex128)
-    if upper == t0:
-        return np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+              panels: int) -> list[np.ndarray]:
+    """Nested integrals I_1 .. I_depth over t0 < t_k < ... < t_1 < upper.
+
+    I_k integrates H(t_1) ... H(t_k); I_0, the identity, is left to the
+    caller.  One pass yields every level: the pass to I_depth evaluates
+    I_(depth-1) at each outer node, and the last node is ``upper`` itself
+    (linspace stores the endpoint exactly), so the levels below come from
+    that last inner call, bit for bit what a pass to their own depth
+    would give.
+    """
+    if depth == 0 or upper == t0:
+        return [np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+                for _ in range(depth)]
     nodes, weights = _simpson_grid(t0, upper, panels)
     total = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
     if depth == 1:
         for x, w in zip(nodes, weights):
             total += w * spec.sample(x)
-        return total
-    for x, w in zip(nodes, weights):
-        total += w * (spec.sample(x) @ _iterated(spec, t0, x, depth - 1, panels))
-    return total
-
-
-def _first_integral(spec: HamiltonianSpec, t0: float, t: float, panels: int,
-                    require_hermitian: bool = False) -> np.ndarray:
-    nodes, weights = _simpson_grid(t0, t, panels)
-    total = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+        return [total]
     for x, w in zip(nodes, weights):
         h = spec.sample(x)
-        if require_hermitian and hermiticity_defect(h) > HERMITICITY_TOL:
-            raise ValueError(f"spec is not Hermitian at sampled time t={x}")
-        total = total + w * h
-    return total
+        inner = _iterated(spec, t0, x, depth - 1, panels)
+        total += w * (h @ inner[-1])
+    return inner + [total]  # inner is now the pass at the last node, upper
 
 
 def dyson_u(spec: HamiltonianSpec, t0: float, t: float, order: int,
             panels: int) -> SeriesExpansion:
     """Iterated-integral expansion of U(t, t0) through ``order``.
 
-    Term k is (-i)^k times the nested integral of H(t_1)...H(t_k); cost
-    scales as panels**order, hence the order cap.
+    Term k is (-i)^k times the nested integral of H(t_1)...H(t_k); all
+    terms come from one nested pass whose cost scales as panels**order,
+    hence the order cap.  The terms of a lower order are exactly the
+    leading terms of a higher one.
     """
     _reject_kicks(spec, "dyson_u")
     _check_order(order)
-    terms = [
-        (-1j) ** k * _iterated(spec, t0, t, k, panels)
-        for k in range(order + 1)
-    ]
-    return _assemble(terms)
+    levels = [np.eye(spec.dim, dtype=np.complex128)]
+    levels += _iterated(spec, t0, t, order, panels)
+    return _assemble([(-1j) ** k * level for k, level in enumerate(levels)])
 
 
 def dyson_u_inverse(spec: HamiltonianSpec, t0: float, t: float, order: int,
@@ -144,11 +144,7 @@ def dyson_u_inverse(spec: HamiltonianSpec, t0: float, t: float, order: int,
     1 + i int H - (int H)^2 + int int H H.
     """
     _reject_kicks(spec, "dyson_u_inverse")
-    _check_order(order)
-    u_terms = [
-        (-1j) ** k * _iterated(spec, t0, t, k, panels)
-        for k in range(order + 1)
-    ]
+    u_terms = dyson_u(spec, t0, t, order, panels).terms
     v_terms: list[np.ndarray] = [np.eye(spec.dim, dtype=np.complex128)]
     for n in range(1, order + 1):
         acc = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
@@ -158,70 +154,28 @@ def dyson_u_inverse(spec: HamiltonianSpec, t0: float, t: float, order: int,
     return _assemble(v_terms)
 
 
-def norm_expansion_hermitian(spec: HamiltonianSpec, t0: float, t: float,
-                             order: int = 2, panels: int = 64) -> SeriesExpansion:
-    """Normalization operator through second order for Hermitian specs.
-
-    N = 1 - (1/2)(int H)^2 + (1/2) int int {H(t'), H(t'')} + ...; the
-    first-order term vanishes identically and the two quadratic pieces
-    cancel exactly whenever the swap of integration order is legitimate,
-    which is what makes N trivial for bounded Hermitian evolution.
-    """
-    _reject_kicks(spec, "norm_expansion_hermitian")
-    if not 0 <= order <= 2:
-        raise ValueError(f"Hermitian expansions are implemented to order 2, got {order}")
-    a = _first_integral(spec, t0, t, panels, require_hermitian=True)
-    terms = [np.eye(spec.dim, dtype=np.complex128)]
-    if order >= 1:
-        terms.append(np.zeros((spec.dim, spec.dim), dtype=np.complex128))
-    if order >= 2:
-        b = _iterated(spec, t0, t, 2, panels)
-        anticomm = b + b.conj().T  # iterated quadrature of {H(t'), H(t'')}
-        terms.append(-0.5 * (a @ a) + 0.5 * anticomm)
-    return _assemble(terms)
-
-
-def pitaron_expansion_hermitian(spec: HamiltonianSpec, t0: float, t: float,
-                                order: int = 2, panels: int = 64) -> SeriesExpansion:
-    """Unitarized propagator through second order for Hermitian specs.
-
-    P = 1 - i int H - (1/2)(int H)^2 - (1/2) int int [H(t'), H(t'')] + ...
-    Unlike the raw expansion of U, the quadratic term is organized so the
-    partial sum is unitary through its own order without invoking any
-    integral-swap identity.
-    """
-    _reject_kicks(spec, "pitaron_expansion_hermitian")
-    if not 0 <= order <= 2:
-        raise ValueError(f"Hermitian expansions are implemented to order 2, got {order}")
-    a = _first_integral(spec, t0, t, panels, require_hermitian=True)
-    terms = [np.eye(spec.dim, dtype=np.complex128)]
-    if order >= 1:
-        terms.append(-1j * a)
-    if order >= 2:
-        b = _iterated(spec, t0, t, 2, panels)
-        comm = b - b.conj().T  # iterated quadrature of [H(t'), H(t'')]
-        terms.append(-0.5 * (a @ a) - 0.5 * comm)
-    return _assemble(terms)
-
-
 def general_norm_expansion(spec: HamiltonianSpec, t0: float, t: float,
                            panels: int = 64) -> SeriesExpansion:
     """Second-order normalization expansion without Hermiticity assumptions.
 
-    With A = int H and B = int int H H (iterated), the square-root Taylor
-    expansion of ((U^dagger)^-1 U^-1)^(1/2) keeps every adjoint separate:
+    With A = int H and B = int int H H (iterated, from one nested pass),
+    the square-root Taylor expansion of ((U^dagger)^-1 U^-1)^(1/2) keeps
+    every adjoint separate:
 
         N = 1 + (i/2) A - (i/2) A^dagger
               - (3/8) A^2 - (3/8) A^dagger^2 + (1/4) A^dagger A
               + (1/2) B + (1/2) B^dagger + ...
 
-    where |A|^2 = A^dagger A.  For Hermitian specs this collapses to the
-    Hermitian expansion.
+    where |A|^2 = A^dagger A.  For Hermitian H this is
+    N = 1 - (1/2) A^2 + (1/2)(B + B^dagger) + ..., with B + B^dagger the
+    iterated integral of {H(t'), H(t'')}: the first-order term vanishes
+    and the two quadratic pieces cancel whenever the swap of integration
+    order is legitimate, which is what makes N trivial for bounded
+    Hermitian evolution.
     """
     _reject_kicks(spec, "general_norm_expansion")
-    a = _first_integral(spec, t0, t, panels)
+    a, b = _iterated(spec, t0, t, 2, panels)
     ad = a.conj().T
-    b = _iterated(spec, t0, t, 2, panels)
     second = (
         -0.375 * (a @ a)
         - 0.375 * (ad @ ad)
@@ -244,14 +198,16 @@ def general_pitaron_expansion(spec: HamiltonianSpec, t0: float, t: float,
               + (1/8) A^2 - (3/8) A^dagger^2 - (1/4) A^dagger A
               - (1/2) B + (1/2) B^dagger + ...
 
-    Reduces to the Hermitian unitarized expansion for Hermitian specs and
-    to the identity for anti-Hermitian scalar generators, whose exact
-    unitarization is trivial.
+    with A and B as in ``general_norm_expansion``.  For Hermitian H this is
+    P = 1 - i A - (1/2) A^2 - (1/2)(B - B^dagger) + ..., with B - B^dagger
+    the iterated integral of [H(t'), H(t'')]; unlike the raw expansion of
+    U, that partial sum is unitary through its own order without invoking
+    any integral-swap identity.  For anti-Hermitian scalar generators it
+    is the identity, their exact unitarization being trivial.
     """
     _reject_kicks(spec, "general_pitaron_expansion")
-    a = _first_integral(spec, t0, t, panels)
+    a, b = _iterated(spec, t0, t, 2, panels)
     ad = a.conj().T
-    b = _iterated(spec, t0, t, 2, panels)
     second = (
         0.125 * (a @ a)
         - 0.375 * (ad @ ad)

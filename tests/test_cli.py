@@ -142,16 +142,31 @@ class TestRunExperiment:
         assert summary["results"]["slope_order_2"] == pytest.approx(3.0, abs=0.3)
 
     def test_picard_exponential(self, tmp_path):
+        for g in (1.0, -2.0, 5.0):
+            cfg = validate_config({
+                "kind": "picard",
+                "output_path": f"pic{g}",
+                "params": {"problem": "exponential", "g": g, "x1": 1.0,
+                           "n_max": 8, "grid": 2001},
+            })
+            run_experiment(cfg, tmp_path)
+            header, rows = read_csv(tmp_path / f"pic{g}.csv")
+            assert header == ["n", "sup_error", "bound"]
+            # the a-priori bound holds for growing and decaying solutions
+            for row in rows[1:]:
+                assert float(row["sup_error"]) <= float(row["bound"]), (g, row)
+            if g == 1.0:
+                assert float(rows[-1]["sup_error"]) < 1e-4
+
+    def test_dyson_repeated_lengths_fit_no_slope(self, tmp_path, recwarn):
         cfg = validate_config({
-            "kind": "picard",
-            "output_path": "pic",
-            "params": {"problem": "exponential", "g": 1.0, "x1": 1.0,
-                       "n_max": 8, "grid": 2001},
+            "kind": "dyson",
+            "output_path": "dyson_run",
+            "params": {"T_list": [0.1, 0.1], "orders": [1, 2], "panels": 4},
         })
         summary = run_experiment(cfg, tmp_path)
-        header, rows = read_csv(tmp_path / "pic.csv")
-        assert header == ["n", "sup_error", "bound"]
-        assert float(rows[-1]["sup_error"]) < 1e-4
+        assert not any(k.startswith("slope_order_") for k in summary["results"])
+        assert len(recwarn) == 0
 
     def test_counterexample_dominated(self, tmp_path):
         cfg = validate_config({

@@ -11,8 +11,6 @@ from pitaron_lab.series import (
     dyson_u_inverse,
     general_norm_expansion,
     general_pitaron_expansion,
-    norm_expansion_hermitian,
-    pitaron_expansion_hermitian,
 )
 
 from oracles import triangle_commutator_quadrature
@@ -77,6 +75,30 @@ class TestDysonU:
         for a, b in zip(coarse.terms, fine.terms):
             assert frob(a - b) < 1e-8
 
+    def test_one_nested_pass_samples_h(self):
+        calls = []
+
+        def smooth(t):
+            calls.append(t)
+            return np.cos(t) * SIGMA1 + 0.3j * SIGMA3
+
+        spec = HamiltonianSpec(dim=2, smooth=smooth)
+        dyson_u(spec, 0.0, 1.0, 3, 4)
+        assert len(calls) == 657  # 9 + 8 * (9 + 8 * 9): the depth-3 pass only
+        calls.clear()
+        general_pitaron_expansion(spec, 0.0, 1.0, 4)
+        assert len(calls) == 81  # one depth-2 pass gives A and B
+
+    @pytest.mark.parametrize("panels", [2, 4])
+    def test_lower_orders_are_leading_terms_of_higher(self, panels):
+        # the dyson CLI reads every order from one top-order expansion
+        spec = piecewise_spec(SIGMA1 + 0.2j * SIGMA3, np.cos(0.3) * SIGMA3 - 0.5j * SIGMA1, 0.37)
+        top = dyson_u(spec, 0.1, 1.3, 4, panels)
+        for k in range(4):
+            low = dyson_u(spec, 0.1, 1.3, k, panels)
+            assert all(np.array_equal(x, y) for x, y in zip(low.terms, top.terms[: k + 1]))
+            assert len(low.terms) == k + 1
+
     def test_truncation_error_scaling(self):
         spec = constant_spec(SIGMA1)
         for order, expected_power in ((1, 2), (2, 3)):
@@ -120,28 +142,23 @@ class TestDysonUInverse:
 
 class TestHermitianExpansions:
     def test_norm_second_order_cancels_for_constants(self):
-        exp = norm_expansion_hermitian(constant_spec(SIGMA1), 0.0, 1.2, 2, 64)
+        exp = general_norm_expansion(constant_spec(SIGMA1), 0.0, 1.2, 64)
         assert frob(exp.terms[1]) == 0.0
         assert frob(exp.terms[2]) < 1e-12
 
     def test_norm_identity_for_zero(self):
-        exp = norm_expansion_hermitian(HamiltonianSpec(dim=2, smooth=None), 0.0, 1.0, 2, 8)
+        exp = general_norm_expansion(HamiltonianSpec(dim=2, smooth=None), 0.0, 1.0, 8)
         assert_allclose(exp.partial_sums[-1], np.eye(2), atol=1e-15)
 
     def test_norm_cancels_for_commuting_ramp(self):
         spec = HamiltonianSpec(dim=2, smooth=lambda t: t * SIGMA3)
-        exp = norm_expansion_hermitian(spec, 0.0, 1.0, 2, 64)
+        exp = general_norm_expansion(spec, 0.0, 1.0, 64)
         assert frob(exp.terms[2]) < 1e-12
-
-    def test_norm_rejects_non_hermitian_sample(self):
-        spec = HamiltonianSpec(dim=2, smooth=lambda t: np.array([[0, 2], [0, 0]]))
-        with pytest.raises(ValueError, match="Hermitian"):
-            norm_expansion_hermitian(spec, 0.0, 1.0, 2, 8)
 
     def test_pitaron_matches_exponential_for_commuting_family(self):
         spec = HamiltonianSpec(dim=2, smooth=lambda t: np.sin(t) * SIGMA3)
         T = 0.4
-        exp = pitaron_expansion_hermitian(spec, 0.0, T, 2, 64)
+        exp = general_pitaron_expansion(spec, 0.0, T, 64)
         a = (1.0 - np.cos(T)) * SIGMA3
         assert frob(exp.terms[2] + 0.5 * (a @ a)) < 1e-10  # commutator part vanishes
         assert frob(exp.partial_sums[-1] - mat_exp(-1j * a)) < frob(a) ** 3 / 6 + 1e-10
@@ -150,7 +167,7 @@ class TestHermitianExpansions:
         # sigma1 then sigma3: the commutator integral is [s3, s1] T1 (T - T1)
         T1, T = 0.5, 1.0
         spec = piecewise_spec(SIGMA1, SIGMA3, T1)
-        exp = pitaron_expansion_hermitian(spec, 0.0, T, 2, 64)
+        exp = general_pitaron_expansion(spec, 0.0, T, 64)
         a = T1 * SIGMA1 + (T - T1) * SIGMA3
         comm_term = exp.terms[2] + 0.5 * (a @ a)  # isolate -(1/2) int int [H, H']
         exact = -0.5 * (SIGMA3 @ SIGMA1 - SIGMA1 @ SIGMA3) * T1 * (T - T1)
@@ -160,22 +177,35 @@ class TestHermitianExpansions:
         assert frob(comm_term) > 0.3  # genuinely nonzero
 
     def test_pitaron_zero_hamiltonian(self):
-        exp = pitaron_expansion_hermitian(HamiltonianSpec(dim=2, smooth=None), 0.0, 1.0, 2, 8)
+        exp = general_pitaron_expansion(HamiltonianSpec(dim=2, smooth=None), 0.0, 1.0, 8)
         assert_allclose(exp.partial_sums[-1], np.eye(2), atol=1e-15)
+
+
+def _hermitian_a_b(spec, T, panels):
+    """A = int H and B = int int H H from the Dyson terms -iA and -B."""
+    terms = dyson_u(spec, 0.0, T, 2, panels).terms
+    return 1j * terms[1], -terms[2]
 
 
 class TestGeneralExpansions:
     def test_hermitian_reduction_norm(self):
+        # Hermitian H: N = 1 + 0 - (1/2) A^2 + (1/2)(B + B^dagger)
         spec = pauli_hamiltonian(np.cos, np.sin, 0.5)
-        general = general_norm_expansion(spec, 0.0, 1.0, 200)
-        hermitian = norm_expansion_hermitian(spec, 0.0, 1.0, 2, 200)
-        assert frob(general.partial_sums[-1] - hermitian.partial_sums[-1]) < 1e-8
+        a, b = _hermitian_a_b(spec, 1.0, 64)
+        general = general_norm_expansion(spec, 0.0, 1.0, 64)
+        assert frob(general.terms[1]) == 0.0
+        assert_allclose(general.terms[2], -0.5 * (a @ a) + 0.5 * (b + b.conj().T),
+                        rtol=0, atol=1e-14)
 
     def test_hermitian_reduction_pitaron(self):
+        # Hermitian H: P = 1 - iA - (1/2) A^2 - (1/2)(B - B^dagger)
         spec = pauli_hamiltonian(np.cos, np.sin, 0.5)
-        general = general_pitaron_expansion(spec, 0.0, 1.0, 200)
-        hermitian = pitaron_expansion_hermitian(spec, 0.0, 1.0, 2, 200)
-        assert frob(general.partial_sums[-1] - hermitian.partial_sums[-1]) < 1e-8
+        a, b = _hermitian_a_b(spec, 1.0, 64)
+        general = general_pitaron_expansion(spec, 0.0, 1.0, 64)
+        assert_allclose(general.terms[1], -1j * a, rtol=0, atol=1e-15)
+        assert_allclose(general.terms[2], -0.5 * (a @ a) - 0.5 * (b - b.conj().T),
+                        rtol=0, atol=1e-14)
+        assert frob(b - b.conj().T) > 0.1  # the commutator part is exercised
 
     def test_anti_hermitian_scalar_norm_matches_exponential_taylor(self):
         j, T = 0.3, 1.0
