@@ -108,7 +108,9 @@ def _choice(*options: str):
 
 _COUNT = _integer(1)
 _NUMBERS = _list_of(_number)
-_PROFILES = {"cos": np.cos, "sin": np.sin, "t": lambda t: t}
+# numpy ufuncs, so that a Pauli spec samples a whole time array in one call
+_PROFILES = {"cos": np.cos, "sin": np.sin, "t": np.positive}
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _number_or_list(value, where: str):
@@ -310,17 +312,29 @@ def _run_picard(cfg: ExperimentConfig):
     v = cfg.values
     if v["problem"] == "exponential":
         g, x1, n_max = v["g"], v["x1"], v["n_max"]
-        run = pic.picard_iterate(
-            lambda x, y: g * y, 1.0, 0.0, x1, n_max, v["grid"],
-            reference=lambda x: np.exp(g * x),
-        )
+
+        def reference(x):
+            # an exact solution beyond the float range is a numerical failure
+            with np.errstate(over="raise"):
+                return np.exp(g * x)
+
+        run = pic.picard_iterate(lambda x, y: g * y, 1.0, 0.0, x1, n_max, v["grid"],
+                                 reference=reference)
         # |y_n| <= e^{|g| x} on [0, x1], so K = max(|g|, 1) is a Lipschitz
-        # constant of f = g y and K e^{|g| x1} bounds |f| for every finite g
+        # constant of f = g y and M = K e^{|g| x1} bounds |f| for every finite
+        # g; log M decides whether M is a float, and a bound that is not is inf
         k = max(abs(g), 1.0)
-        m = k * math.exp(abs(g) * x1)
+        m = k * math.exp(abs(g) * x1) if math.log(k) + abs(g) * x1 < _LOG_FLOAT_MAX else math.inf
+
+        def bound(n: int) -> float:
+            try:
+                return pic.error_bound(m, k, x1, n)
+            except OverflowError:
+                return math.inf
+
         rows = [
             {"n": n, "sup_error": float(run.errors[n]),
-             "bound": pic.error_bound(m, k, x1, n) if n >= 1 else float("nan")}
+             "bound": bound(n) if n >= 1 else float("nan")}
             for n in range(n_max + 1)
         ]
         scalars = {"final_sup_error": float(run.errors[-1])}

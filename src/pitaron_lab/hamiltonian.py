@@ -55,12 +55,19 @@ class HamiltonianSpec:
     specs); the stepper chooses where to sample it.  Kick times must be
     strictly increasing and every matrix must match ``dim``.
 
+    ``sample(t)`` evaluates one time; ``sample_stack(ts)`` evaluates an
+    array of times into a ``(*ts.shape, dim, dim)`` stack with one shape
+    and finiteness check, which is how the stepper samples a cell.  A
+    user ``smooth`` is called once per time there; library builders
+    that can evaluate a whole time array at once store that evaluator
+    in ``smooth_stack`` (``pauli_hamiltonian`` does).
+
     A time-independent smooth part is best built with
     ``HamiltonianSpec.constant``: the matrix is validated once, stored as
     a read-only copy in ``constant_matrix`` and returned by ``sample``
-    without further checks, and the stepper exponentiates each distinct
-    step width of such a spec only once.  ``smooth`` is still a callable
-    returning it.
+    (and broadcast by ``sample_stack``) without further checks, and the
+    stepper exponentiates each distinct step width of such a spec only
+    once.  ``smooth`` is still a callable returning it.
     """
 
     dim: int
@@ -68,6 +75,8 @@ class HamiltonianSpec:
     kicks: tuple[Kick, ...] = field(default_factory=tuple)
     constant_matrix: np.ndarray | None = field(default=None, init=False, repr=False,
                                                compare=False)
+    smooth_stack: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -113,6 +122,37 @@ class HamiltonianSpec:
             raise ValueError(f"smooth part returned non-finite entries at t={t}")
         return h
 
+    def sample_stack(self, ts) -> np.ndarray:
+        """The smooth part at every time of ``ts``, shape ``(*ts.shape, dim, dim)``.
+
+        A constant spec returns a read-only broadcast of its matrix and a
+        pure-kick spec returns zeros.  Otherwise the stack comes from
+        ``smooth_stack`` when the builder set one, else from one
+        ``smooth`` call per time, and its shape and finiteness are
+        checked once.
+        """
+        ts = np.asarray(ts, dtype=float)
+        shape = (*ts.shape, self.dim, self.dim)
+        if self.constant_matrix is not None:
+            return np.broadcast_to(self.constant_matrix, shape)
+        if self.smooth is None or ts.size == 0:
+            return np.zeros(shape, dtype=np.complex128)
+        if self.smooth_stack is not None:
+            h = np.asarray(self.smooth_stack(ts), dtype=np.complex128)
+        else:
+            try:
+                h = np.stack([np.asarray(self.smooth(t), dtype=np.complex128) for t in ts.flat])
+            except ValueError:
+                raise ValueError(f"smooth part returned matrices of different shapes, "
+                                 f"expected ({self.dim}, {self.dim})") from None
+            h = h.reshape(*ts.shape, *h.shape[1:])
+        if h.shape != shape:
+            raise ValueError(f"smooth part returned a stack of shape {h.shape}, expected {shape}")
+        if not np.isfinite(h.sum()):
+            bad = ts[~np.isfinite(h).all(axis=(-2, -1))]
+            raise ValueError(f"smooth part returned non-finite entries at t={bad.flat[0]}")
+        return h
+
     def kicks_between(self, t0: float, t1: float) -> tuple[Kick, ...]:
         """Kicks with time in the half-open interval (t0, t1]."""
         return tuple(k for k in self.kicks if t0 < k.time <= t1)
@@ -152,18 +192,36 @@ def _as_time_function(f) -> Callable[[float], float]:
     return lambda t: value
 
 
+def _coefficients(f, ts: np.ndarray) -> np.ndarray:
+    """A coefficient at every time of ``ts``: broadcast, one ufunc call, or one call per time."""
+    if not callable(f):
+        return np.full(ts.shape, float(f))
+    if isinstance(f, np.ufunc):
+        return f(ts)
+    return np.array([f(t) for t in ts.flat]).reshape(ts.shape)
+
+
 def pauli_hamiltonian(f1, f2, f3) -> HamiltonianSpec:
     """Two-level spec H(t) = f1(t) s1 + f2(t) s2 + f3(t) s3.
 
     Each coefficient may be a callable of t or a constant.  The result is
-    traceless and Hermitian at every time.
+    traceless and Hermitian at every time.  ``sample_stack`` builds its
+    stack by broadcasting: constants broadcast, a numpy ufunc is applied
+    to the whole time array once, and any other callable (``math.cos``,
+    say) is called once per time.
     """
     g1, g2, g3 = _as_time_function(f1), _as_time_function(f2), _as_time_function(f3)
 
     def smooth(t: float) -> np.ndarray:
         return g1(t) * SIGMA1 + g2(t) * SIGMA2 + g3(t) * SIGMA3
 
-    return HamiltonianSpec(dim=2, smooth=smooth)
+    def smooth_stack(ts: np.ndarray) -> np.ndarray:
+        c1, c2, c3 = (_coefficients(f, ts)[..., None, None] for f in (f1, f2, f3))
+        return c1 * SIGMA1 + c2 * SIGMA2 + c3 * SIGMA3
+
+    spec = HamiltonianSpec(dim=2, smooth=smooth)
+    object.__setattr__(spec, "smooth_stack", smooth_stack)
+    return spec
 
 
 def nhse_hamiltonian(l: int, onsite: float, hop, gamma) -> np.ndarray:

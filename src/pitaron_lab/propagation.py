@@ -1,12 +1,13 @@
 """Propagator construction and unitarization.
 
 ``step_propagator`` builds U(t, t0) as an ordered product of short-time
-exponentials with exact kick factors.  ``pitaron`` is the one place that
-unitarizes: from one singular value decomposition of U it forms
-N = (U U^dagger)^(-1/2), the manifestly unitary P = N @ U and the
-condition number of U (``normalization_operator`` is its N).  The three
-right-hand-side routines evaluate the evolution laws claimed for dN/dt
-so tests can compare them against finite differences of the definition.
+exponentials with exact kick factors, sampled and exponentiated as one
+stack per cell.  ``pitaron`` is the one place that unitarizes: from one
+singular value decomposition of U it forms N = (U U^dagger)^(-1/2), the
+manifestly unitary P = N @ U and the condition number of U
+(``normalization_operator`` is its N).  The three right-hand-side
+routines evaluate the evolution laws claimed for dN/dt so tests can
+compare them against finite differences of the definition.
 
 Kick convention: a kick at time tau belongs to every interval with
 tau in (t0, t], i.e. left-open and right-closed.  This makes ordered
@@ -86,8 +87,20 @@ class Trajectory:
     n_distance: np.ndarray
 
 
+# Pieces of a cell sampled and exponentiated per stacked call; longer cells
+# go in chunks of this size, so stepping memory stays O(_CHUNK * dim^2).
+_CHUNK = 128
+
+
+def _fold(factors, u: np.ndarray | None = None) -> np.ndarray | None:
+    """Ordered product of ``factors`` (earliest first) applied after ``u``."""
+    for f in factors:
+        u = f if u is None else f @ u
+    return u
+
+
 def _ordered_product(spec: HamiltonianSpec, t0: float, t: float, steps: int,
-                     cache: dict) -> np.ndarray:
+                     memo: dict) -> np.ndarray:
     """Time-ordered product over (t0, t] with kicks spliced in exactly.
 
     Uniform cells of width (t - t0)/steps are split at interior kick
@@ -97,43 +110,61 @@ def _ordered_product(spec: HamiltonianSpec, t0: float, t: float, steps: int,
     exactly t0 fall outside the half-open interval and are skipped here;
     public callers decide whether that is an error.
 
-    ``cache`` belongs to one public call and is dropped with it.  For a
+    The pieces are stepped as stacks: one ``sample_stack`` call at all
+    piece midpoints and one ``mat_exp`` call on the smooth exponents and
+    the kick exponents -i V in time order, per chunk of ``_CHUNK``
+    pieces.  The factors are then multiplied in a sequential left fold.
+    An interval with neither a smooth part nor a kick is the identity.
+
+    ``memo`` belongs to one public call and is dropped with it.  For a
     kick-free interval of a constant spec (``spec.constant_matrix`` set)
     it holds the factor of each distinct step width, keyed by the exact
     float width, and the product of the interval, keyed by its tuple of
-    widths, so each is computed once per call.  A reused value comes from
-    the same ``mat_exp`` argument and the same multiplication order as a
-    fresh one, so the result is bit-identical to recomputing it.  Kicked
-    intervals and other specs take the plain loop and never touch the
-    cache.
+    widths, so each is computed once per call.  The factors come from the
+    same ``mat_exp`` arguments and the fold from the same order as in the
+    stacked route, and ``mat_exp`` gives each matrix of a stack the bits
+    it would have alone, so the result is bit-identical to it.
     """
     kicks = spec.kicks_between(t0, t)
-    kick_at = {k.time: k for k in kicks}
-    boundaries = sorted(set(np.linspace(t0, t, steps + 1)) | set(kick_at))
+    if spec.smooth is None and not kicks:
+        return np.eye(spec.dim, dtype=np.complex128)
+    kick_exponents = -1j * np.array([k.strength for k in kicks]).reshape(-1, spec.dim, spec.dim)
+    if spec.smooth is None:
+        return _fold(mat_exp(kick_exponents))
+    kick_times = np.array([k.time for k in kicks])
+    edges = np.sort(np.concatenate([np.linspace(t0, t, steps + 1), kick_times]))
+    edges = edges[np.diff(edges, prepend=-np.inf) > 0]  # a kick on a grid point once
+    widths = np.diff(edges)
+    if spec.constant_matrix is not None and not kicks:
+        return _constant_product(spec.constant_matrix, widths, memo)
 
-    if spec.constant_matrix is not None and not kick_at:
-        widths = tuple(b - a for a, b in zip(boundaries, boundaries[1:]))
-        u = cache.get(widths)
-        if u is None:
-            u = np.eye(spec.dim, dtype=np.complex128)
-            for width in widths:
-                factor = cache.get(width)
-                if factor is None:
-                    factor = cache[width] = mat_exp(-1j * width * spec.constant_matrix)
-                u = factor @ u
-            cache[widths] = u
-        return u
+    # kicked[j]: a kick sits at the right edge of piece j and follows it
+    kicked = np.isin(edges[1:], kick_times)
+    u = None
+    used = 0
+    for lo in range(0, len(widths), _CHUNK):
+        w, kk = widths[lo:lo + _CHUNK], kicked[lo:lo + _CHUNK]
+        q = int(kk.sum())
+        slots = np.arange(len(w)) + np.cumsum(kk) - kk
+        exponents = np.empty((len(w) + q, spec.dim, spec.dim), dtype=np.complex128)
+        mids = 0.5 * (edges[lo:lo + len(w)] + edges[lo + 1:lo + len(w) + 1])
+        exponents[slots] = (-1j * w)[:, None, None] * spec.sample_stack(mids)
+        exponents[slots[kk] + 1] = kick_exponents[used:used + q]
+        used += q
+        u = _fold(mat_exp(exponents), u)
+    return u
 
-    u = np.eye(spec.dim, dtype=np.complex128)
-    prev = boundaries[0]
-    for b in boundaries[1:]:
-        if b > prev and spec.smooth is not None:
-            h = spec.sample(0.5 * (prev + b))
-            u = mat_exp(-1j * (b - prev) * h) @ u
-        kick = kick_at.get(b)
-        if kick is not None:
-            u = mat_exp(-1j * kick.strength) @ u
-        prev = b
+
+def _constant_product(h: np.ndarray, widths: np.ndarray, memo: dict) -> np.ndarray:
+    """Product of exp(-i h w) over ``widths``, memoized per width and per width tuple."""
+    key = tuple(widths.tolist())
+    u = memo.get(key)
+    if u is None:
+        new = [w for w in dict.fromkeys(key) if w not in memo]
+        for lo in range(0, len(new), _CHUNK):
+            ws = new[lo:lo + _CHUNK]
+            memo.update(zip(ws, mat_exp((-1j * np.array(ws))[:, None, None] * h)))
+        u = memo[key] = _fold(memo[w] for w in key)
     return u
 
 
@@ -283,11 +314,12 @@ def evolve_trajectory(
     The initial snapshot is exactly the identity.  ``z_factors`` tracks
     ||U psi0|| / ||psi0|| when a reference state is supplied.
 
-    For a constant spec the whole trajectory shares one factor cache:
-    across its kick-free cells each distinct substep width is
-    exponentiated once and each distinct cell is multiplied out once,
-    with every snapshot bit-identical to the uncached product.  The
-    cache is dropped on return.
+    Each cell costs one stacked H sample and one stacked exponential
+    (per ``_CHUNK`` substeps; see ``_ordered_product``).  For a constant
+    spec the whole trajectory shares one memo: across its kick-free cells
+    each distinct substep width is exponentiated once and each distinct
+    cell is multiplied out once, with every snapshot bit-identical to the
+    stacked route.  The memo is dropped on return.
     """
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
@@ -309,9 +341,9 @@ def evolve_trajectory(
         )
     ]
     u = eye
-    cache: dict = {}
+    memo: dict = {}
     for a, b in zip(grid[:-1], grid[1:]):
-        u = _ordered_product(spec, a, b, steps_per_cell, cache) @ u
+        u = _ordered_product(spec, a, b, steps_per_cell, memo) @ u
         snapshots.append(pitaron(u, t0=t0, t=b))
 
     n_distance = np.array([frob(s.N - eye) for s in snapshots])

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they verify: the exponential is
 a plain term-by-term series without scaling, the Lyapunov integral is a
 Gauss-Legendre quadrature that never eigendecomposes, the unitary polar
 factor comes from a Newton iteration built on matrix inverses rather
-than a singular value decomposition, and the double integral is a
-brute-force sum over the ordered triangle.  Nothing here imports
+than a singular value decomposition, the double integral is a
+brute-force sum over the ordered triangle, and the stepper samples one
+time and exponentiates one factor at a time.  Nothing here imports
 ``pitaron_lab`` (``test_oracles.py`` checks this).
 """
 
@@ -23,6 +24,27 @@ def series_exp(a: np.ndarray, terms: int = 80) -> np.ndarray:
         term = term @ a / k
         total = total + term
     return total
+
+
+def stepped_propagator(sample, kicks, t0: float, t: float, steps: int,
+                       dim: int) -> np.ndarray:
+    """U(t, t0) as a product of one series_exp factor per piece, one piece at a time.
+
+    ``sample`` maps a time to the smooth part (None for pure kicks) and
+    ``kicks`` holds (time, V) pairs.  The uniform pieces of (t0, t] are
+    split at the kicks with time in (t0, t], each piece contributes
+    exp(-i H(midpoint) dt) and each kick exp(-i V) right after the piece
+    ending at its time.
+    """
+    kick_at = {tau: np.asarray(v, dtype=complex) for tau, v in kicks if t0 < tau <= t}
+    edges = sorted(set(np.linspace(t0, t, steps + 1).tolist()) | set(kick_at))
+    u = np.eye(dim, dtype=complex)
+    for a, b in zip(edges, edges[1:]):
+        if sample is not None:
+            u = series_exp(-1j * (b - a) * np.asarray(sample(0.5 * (a + b)), dtype=complex)) @ u
+        if b in kick_at:
+            u = series_exp(-1j * kick_at[b]) @ u
+    return u
 
 
 def lyapunov_quadrature(n: np.ndarray, q: np.ndarray, panel_width: float = 0.25) -> np.ndarray:

@@ -259,6 +259,27 @@ class TestMainEntryPoint:
         assert "numerical failure" in capsys.readouterr().err
         assert not list(tmp_path.glob("overflow.*"))
 
+    def test_picard_bound_beyond_float_range_is_inf(self, tmp_path):
+        # g = -800: M = K e^{800} is no float, yet the decaying run completes
+        config = {
+            "kind": "picard",
+            "output_path": "decay",
+            "params": {"problem": "exponential", "g": -800.0, "x1": 1.0, "n_max": 6,
+                       "grid": 2001},
+        }
+        path = write_config(tmp_path, "picard_decay.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "decay.csv")
+        for row in rows[1:]:
+            assert float(row["bound"]) == np.inf
+            assert float(row["sup_error"]) <= float(row["bound"])
+        # g = 800: the exact solution e^{800 x} itself leaves the float range
+        config["params"]["g"] = 800.0
+        config["output_path"] = "growth"
+        path = write_config(tmp_path, "picard_growth.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert not list(tmp_path.glob("growth.*"))
+
     def test_library_value_error_exits_two_and_later_configs_run(self, tmp_path, capsys):
         bad = json.loads(json.dumps(PAULI_CONFIG))
         bad["output_path"] = "backwards"

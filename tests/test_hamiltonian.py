@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -184,3 +186,68 @@ class TestConstantSpec:
     def test_rejects_kick_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             HamiltonianSpec.constant(SIGMA1, kicks=(Kick(time=1.0, strength=np.eye(3)),))
+
+
+class TestSampleStack:
+    def test_constant_spec_broadcasts_read_only(self, rng):
+        h = random_ginibre(rng, 3)
+        spec = HamiltonianSpec.constant(h)
+        stack = spec.sample_stack(np.zeros((2, 4)))
+        assert stack.shape == (2, 4, 3, 3)
+        assert np.array_equal(stack[1, 3], h)
+        assert not stack.flags.writeable
+
+    def test_pure_kick_spec_is_zero(self):
+        spec = dirac_comb_spec([0.5], [1.0], dim=2)
+        assert np.array_equal(spec.sample_stack([0.5, 1.5]), np.zeros((2, 2, 2)))
+
+    def test_user_smooth_called_once_per_time(self):
+        seen = []
+
+        def smooth(t):
+            seen.append(t)
+            return np.diag([t, -t])
+
+        spec = HamiltonianSpec(dim=2, smooth=smooth)
+        ts = np.array([[0.1, 0.2], [0.3, 0.4]])
+        stack = spec.sample_stack(ts)
+        assert seen == [0.1, 0.2, 0.3, 0.4]
+        assert stack.shape == (2, 2, 2, 2)
+        assert np.array_equal(stack[1, 0], spec.sample(0.3))
+
+    def test_validates_shape(self):
+        spec = HamiltonianSpec(dim=2, smooth=lambda t: np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            spec.sample_stack([0.0, 1.0])
+        ragged = HamiltonianSpec(dim=2, smooth=lambda t: np.eye(2 if t < 0.5 else 3))
+        with pytest.raises(ValueError, match="shape"):
+            ragged.sample_stack([0.0, 1.0])
+
+    def test_validates_finiteness_and_names_a_bad_time(self):
+        spec = HamiltonianSpec(dim=1, smooth=lambda t: [[1.0 / (t - 0.5) if t != 0.5 else np.nan]])
+        with pytest.raises(ValueError, match="t=0.5"):
+            spec.sample_stack([0.0, 0.5, 1.0])
+
+    def test_empty_times(self):
+        spec = pauli_hamiltonian(np.cos, 0.0, 1.0)
+        assert spec.sample_stack(np.array([])).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("profiles", [(np.cos, np.sin, 0.3), (math.cos, math.sin, 0.3),
+                                          (np.positive, -0.2, lambda t: t * t)])
+    def test_pauli_stack_equals_scalar_samples(self, profiles):
+        spec = pauli_hamiltonian(*profiles)
+        ts = np.linspace(0.0, 3.0, 7)
+        stack = spec.sample_stack(ts)
+        for t, h in zip(ts, stack):
+            assert_allclose(h, spec.sample(t), rtol=0, atol=1e-15)
+
+    def test_pauli_calls_a_plain_callable_once_per_time(self):
+        calls = []
+
+        def profile(x):
+            calls.append(np.shape(x))
+            return x
+
+        spec = pauli_hamiltonian(np.sin, profile, 1.0)
+        spec.sample_stack(np.linspace(0.0, 1.0, 5))
+        assert calls == [()] * 5

@@ -62,6 +62,56 @@ class TestMatExp:
             assert frob(mat_exp(a + b) - mat_exp(a) @ mat_exp(b)) < 1e-10
 
 
+def _mixed_norm_stack(rng, dim, count=12):
+    """Ginibre matrices with 1-norms spread over [1e-3, 30], so scalings and degrees differ."""
+    norms = np.logspace(-3, np.log10(30.0), count)
+    stack = [random_ginibre(rng, dim) for _ in norms]
+    return np.array([g * (s / np.linalg.norm(g, 1)) for g, s in zip(stack, norms)])
+
+
+class TestMatExpStack:
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    def test_stack_entries_equal_single_calls(self, rng, dim):
+        stack = _mixed_norm_stack(rng, dim)
+        out = mat_exp(stack)
+        assert out.shape == stack.shape
+        for k in range(len(stack)):
+            assert np.array_equal(out[k], mat_exp(stack[k]))
+        # the position in the stack and its neighbours do not matter either
+        shuffled = rng.permutation(len(stack))
+        assert np.array_equal(mat_exp(stack[shuffled]), out[shuffled])
+
+    def test_leading_dimensions_are_kept(self, rng):
+        stack = _mixed_norm_stack(rng, 3).reshape(3, 4, 3, 3)
+        out = mat_exp(stack)
+        assert out.shape == (3, 4, 3, 3)
+        assert np.array_equal(out[1, 2], mat_exp(stack[1, 2]))
+
+    def test_stack_matches_series_oracle(self, rng):
+        for dim in (1, 2, 5, 16):
+            stack = _mixed_norm_stack(rng, dim, count=8)
+            stack = stack[np.linalg.norm(stack, 2, axis=(-2, -1)) <= 1.0]
+            assert len(stack) >= 4
+            for a, e in zip(stack, mat_exp(stack)):
+                assert frob(e - series_exp(a)) <= 1e-14 * frob(series_exp(a))
+
+    def test_rejects_one_non_finite_entry(self, rng):
+        stack = _mixed_norm_stack(rng, 2)
+        stack[5, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            mat_exp(stack)
+
+    def test_rejects_non_square_trailing_dimensions(self):
+        with pytest.raises(ValueError, match="square"):
+            mat_exp(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            mat_exp(np.zeros(3))
+
+    def test_empty_stack(self):
+        out = mat_exp(np.zeros((0, 3, 3)))
+        assert out.shape == (0, 3, 3)
+
+
 class TestHermitianEig:
     def test_diagonal(self):
         es = hermitian_eig(np.diag([3.0, 1.0]).astype(complex))

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pitaron_lab.propagation as propagation
 from pitaron_lab.hamiltonian import (
     SIGMA1,
     SIGMA2,
@@ -26,7 +29,7 @@ from pitaron_lab.propagation import (
     z_factor,
 )
 
-from oracles import newton_polar, random_ginibre, random_unitary
+from oracles import newton_polar, random_ginibre, random_unitary, stepped_propagator
 
 DIMB_STRENGTHS = [0.6, 1.0, 1.2, 0.8]
 DIMB_TIMES = [1.0, 2.0, 3.0, 4.0]
@@ -422,3 +425,81 @@ class TestConstantSpecReuse:
         runs = [evolve_trajectory(c, 0.0, 1.0, 5, 4) for c, _ in pairs]
         for run, (_, callable_spec) in zip(runs, pairs):
             _assert_same_trajectory(run, evolve_trajectory(callable_spec, 0.0, 1.0, 5, 4))
+
+
+def _kicked_nonhermitian_spec(rng):
+    """3x3 time-dependent non-Hermitian H(t) = A cos t + B t with four kicks.
+
+    On a grid over [0, 2] with 5 points (cells of width 0.5) two kicks sit
+    inside the first cell (0.3, 0.45), one at a grid time (1.0) and one
+    at t1 (2.0).
+    """
+    a, b = 0.7 * random_ginibre(rng, 3), 0.4 * random_ginibre(rng, 3)
+    times = (0.3, 0.45, 1.0, 2.0)
+    kicks = tuple(Kick(time=t, strength=0.6 * random_ginibre(rng, 3)) for t in times)
+    return HamiltonianSpec(dim=3, smooth=lambda t: a * np.cos(t) + b * t, kicks=kicks)
+
+
+class TestStackedStepper:
+    """One stacked sample and one stacked exponential per cell, same product."""
+
+    def test_trajectory_matches_reference_stepper(self, rng):
+        spec = _kicked_nonhermitian_spec(rng)
+        traj = evolve_trajectory(spec, 0.0, 2.0, 5, 7)
+        kicks = [(k.time, k.strength) for k in spec.kicks]
+        u = np.eye(3, dtype=complex)
+        for a, b, snap in zip(traj.grid[:-1], traj.grid[1:], traj.snapshots[1:]):
+            u = stepped_propagator(spec.smooth, kicks, a, b, 7, 3) @ u
+            assert frob(snap.U - u) <= 1e-12 * frob(u)
+
+    def test_pure_kick_cells_match_reference_stepper(self, rng):
+        v = [random_ginibre(rng, 2) for _ in range(3)]
+        spec = HamiltonianSpec(dim=2, kicks=[Kick(time=t, strength=m)
+                                              for t, m in zip((0.2, 0.25, 1.0), v)])
+        u = step_propagator(spec, 0.0, 1.0, 3)
+        expected = stepped_propagator(None, [(k.time, k.strength) for k in spec.kicks],
+                                      0.0, 1.0, 3, 2)
+        assert frob(u - expected) <= 1e-13 * frob(expected)
+
+    def test_math_and_numpy_profiles_agree(self):
+        scalar = pauli_hamiltonian(math.cos, math.sin, 0.3)
+        ufunc = pauli_hamiltonian(np.cos, np.sin, 0.3)
+        a = evolve_trajectory(scalar, 0.0, 2.5, 21, 100)
+        b = evolve_trajectory(ufunc, 0.0, 2.5, 21, 100)
+        for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+            assert frob(sa.U - sb.U) <= 1e-14
+
+    @pytest.mark.parametrize("make", ["kicked", "pauli", "constant"])
+    def test_chunking_is_bit_identical(self, rng, monkeypatch, make):
+        spec = {
+            "kicked": lambda: _kicked_nonhermitian_spec(rng),
+            "pauli": lambda: pauli_hamiltonian(np.cos, np.sin, 0.3),
+            "constant": lambda: HamiltonianSpec.constant(0.4 * random_ginibre(rng, 4)),
+        }[make]()
+        default = evolve_trajectory(spec, 0.0, 2.0, 5, 10)
+        monkeypatch.setattr(propagation, "_CHUNK", 3)
+        chunked = evolve_trajectory(spec, 0.0, 2.0, 5, 10)
+        for sa, sb in zip(default.snapshots, chunked.snapshots, strict=True):
+            assert np.array_equal(sa.U, sb.U)
+
+    def test_one_sample_and_one_exponential_per_cell(self, monkeypatch):
+        calls = {"mat_exp": 0, "sample_stack": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(propagation, "mat_exp", counted("mat_exp", propagation.mat_exp))
+        monkeypatch.setattr(HamiltonianSpec, "sample_stack",
+                            counted("sample_stack", HamiltonianSpec.sample_stack))
+        evolve_trajectory(pauli_hamiltonian(np.cos, np.sin, 0.3), 0.0, 2.0, 21, 100)
+        assert calls == {"mat_exp": 20, "sample_stack": 20}
+
+    def test_empty_cells_of_a_pure_kick_spec_exponentiate_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(propagation, "mat_exp", lambda a: calls.append(a) or a)
+        spec = HamiltonianSpec(dim=2, kicks=[Kick(time=1.0, strength=SIGMA1)])
+        assert np.array_equal(step_propagator(spec, 1.5, 3.0, 8), np.eye(2))
+        assert calls == []
