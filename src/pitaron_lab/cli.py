@@ -11,8 +11,10 @@ relative path without ``..``, so outputs stay under ``--out``; lists that
 make CSV rows (``T_list``, ``orders``, ``pairs``, ``n_list``) must be
 non-empty.  Checks that join two keys (``psi0`` against the dimension, a
 ``hop`` list against ``l``, a kick at ``t0``) stay in the library, which
-raises ``ValueError``.  The pipeline is deterministic for a given config,
-so re-running byte-reproduces the CSV.
+raises ``ValueError``.  A dyson config whose nested quadrature would
+exceed ``DYSON_MAX_NODES`` nodes is rejected as a config error.  The
+pipeline is deterministic for a given config, so re-running
+byte-reproduces the CSV.
 
 Exit codes: 0 success (warnings go to the summary), 2 config error: a
 config that cannot be read, parsed or validated, parameters the library
@@ -111,6 +113,9 @@ _NUMBERS = _list_of(_number)
 # numpy ufuncs, so that a Pauli spec samples a whole time array in one call
 _PROFILES = {"cos": np.cos, "sin": np.sin, "t": np.positive}
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# One nested Dyson pass of 10^7 nodes takes ~0.4 s on the runner's constant
+# spec (2-vCPU host), while its memory stays within series._TREE_BYTES.
+DYSON_MAX_NODES = 10**7
 
 
 def _number_or_list(value, where: str):
@@ -282,6 +287,10 @@ def _run_comb(cfg: ExperimentConfig):
 def _run_dyson(cfg: ExperimentConfig):
     v = cfg.values
     T_list, orders, panels = v["T_list"], v["orders"], v["panels"]
+    depth = max(2, *orders)  # the Pitaron expansion is a depth-2 pass of its own
+    if (2 * panels + 1) ** depth > DYSON_MAX_NODES:
+        _fail(f"dyson panels {panels} at depth {depth} make a nested quadrature of "
+              f"(2 panels + 1)^{depth} nodes, above the cap of {DYSON_MAX_NODES}")
     spec = ham.HamiltonianSpec.constant(ham.SIGMA1)
     rows = []
     for T in T_list:

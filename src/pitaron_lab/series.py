@@ -6,8 +6,12 @@ t0 < t_k < ... < t_1 < t, evaluated by composite Simpson at every level
 with the inner upper limit re-gridded to the outer variable.  That form
 is the construction under study here, so it is never replaced by the
 productive (Fubini-swapped) form even where the two agree analytically.
-One nested pass to the highest order needed yields every lower order
-too, so each expansion samples H through a single quadrature.
+The nested rule is evaluated as a tree of those re-gridded nodes, one
+level at a time: each level's nodes are sampled in one
+``HamiltonianSpec.sample_stack`` call and contracted on stacks, with the
+nodes, weights and summation order of the scalar recursion.  One nested
+pass to the highest order needed yields every lower order too, so each
+expansion samples H through a single quadrature.
 
 The N and P expansions keep every adjoint separate, so they hold for
 non-Hermitian H; for Hermitian H they reduce to the textbook forms.
@@ -33,6 +37,7 @@ from .hamiltonian import HamiltonianSpec
 from .linalg import frob
 
 MAX_ORDER = 4  # nested quadrature cost grows as panels**order
+_TREE_BYTES = 1 << 22  # samples of the Dyson node tree held at once
 
 __all__ = [
     "MAX_ORDER",
@@ -70,13 +75,39 @@ def _assemble(terms: list[np.ndarray]) -> SeriesExpansion:
     )
 
 
-def _simpson_grid(a: float, b: float, panels: int):
-    nodes = np.linspace(a, b, 2 * panels + 1)
+def _simpson_grid(a: float, b: float | np.ndarray, panels: int):
+    """Composite Simpson nodes and weights on [a, b] for every upper limit of ``b``.
+
+    Shapes are ``(*b.shape, 2 panels + 1)``; each row holds the nodes
+    ``linspace(a, b, 2 panels + 1)`` of its own upper limit.
+    """
+    if panels < 1:
+        raise ValueError(f"panels must be at least 1, got {panels}")
+    b = np.asarray(b, dtype=float)
+    nodes = np.linspace(a, b, 2 * panels + 1, axis=-1)
     h = (b - a) / (2 * panels)
     weights = np.full(2 * panels + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
-    return nodes, weights * (h / 3.0)
+    return nodes, weights * (h / 3.0)[..., None]
+
+
+def _level_blocks(spec: HamiltonianSpec, t0: float, uppers: np.ndarray, panels: int,
+                  depth: int):
+    """The Simpson grids under ``uppers`` in blocks of columns, with H sampled per block.
+
+    Yields ``(start, nodes, weights, h)`` for the columns from ``start``
+    on.  A block holds as many columns as keep the samples of the
+    ``depth`` levels from here down within ``_TREE_BYTES``, so there is
+    one block unless the tree is larger than that.
+    """
+    nodes, weights = _simpson_grid(t0, uppers, panels)
+    n = nodes.shape[-1]
+    below = (n - 1) ** (depth - 1) * (16 * spec.dim**2 + 8)  # sample and time bytes per node
+    width = max(1, _TREE_BYTES // (uppers.size * below))
+    for start in range(0, n, width):
+        cols = slice(start, start + width)
+        yield start, nodes[:, cols], weights[:, cols], spec.sample_stack(nodes[:, cols])
 
 
 def _reject_kicks(spec: HamiltonianSpec, what: str) -> None:
@@ -92,31 +123,58 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
 
 
+def _tree(spec: HamiltonianSpec, t0: float, uppers: np.ndarray, depth: int,
+          panels: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """I_depth from t0 to each of the 1-D ``uppers`` (none equal to t0).
+
+    Returns the ``(len(uppers), dim, dim)`` stack and I_1 .. I_(depth-1)
+    at ``uppers[-1]``.  The integrals under the nodes j > 0 of every grid
+    come from one recursive call on all of those nodes; node 0 is t0,
+    where every inner integral is zero, so it is sampled but adds
+    nothing.  Each entry sums its nodes in order, as the scalar recursion
+    does, so it has that recursion's bits.
+    """
+    total = np.zeros((uppers.size, spec.dim, spec.dim), dtype=np.complex128)
+    lower: list[np.ndarray] = []
+    inner = None
+    for start, nodes, weights, h in _level_blocks(spec, t0, uppers, panels, depth):
+        if depth > 1:
+            skip = 1 if start == 0 else 0
+            nodes, weights = nodes[:, skip:], weights[:, skip:]
+            if nodes.size == 0:
+                continue
+            inner, lower = _tree(spec, t0, nodes.ravel(), depth - 1, panels)
+            h = h[:, skip:] @ inner.reshape(*nodes.shape, spec.dim, spec.dim)
+        terms = weights[..., None, None] * h
+        terms[:, 0] += total  # the running sum over the nodes, carried across blocks
+        total = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+    if inner is not None:  # the last node of the last grid is uppers[-1]
+        lower = lower + [inner[-1].copy()]
+    return total, lower
+
+
 def _iterated(spec: HamiltonianSpec, t0: float, upper: float, depth: int,
               panels: int) -> list[np.ndarray]:
     """Nested integrals I_1 .. I_depth over t0 < t_k < ... < t_1 < upper.
 
     I_k integrates H(t_1) ... H(t_k); I_0, the identity, is left to the
-    caller.  One pass yields every level: the pass to I_depth evaluates
-    I_(depth-1) at each outer node, and the last node is ``upper`` itself
-    (linspace stores the endpoint exactly), so the levels below come from
-    that last inner call, bit for bit what a pass to their own depth
-    would give.
+    caller.  The iterated form is evaluated as a node tree: level k holds
+    the Simpson grids ``linspace(t0, x, 2 panels + 1)`` under every node
+    x > t0 of level k - 1, each level is sampled with
+    ``HamiltonianSpec.sample_stack`` and the products are contracted
+    from the innermost level out.  These are the nodes, weights and
+    summation order of the recursion that re-grids each inner integral
+    at its outer node, so the result is the same to the bit.  One pass
+    yields every level: the last node of each grid is its upper limit
+    (linspace stores the endpoint exactly), so I_1 .. I_(depth-1) at
+    ``upper`` are read at the last node of each level.  Trees above
+    ``_TREE_BYTES`` of samples are walked in blocks of outer nodes.
     """
     if depth == 0 or upper == t0:
         return [np.zeros((spec.dim, spec.dim), dtype=np.complex128)
                 for _ in range(depth)]
-    nodes, weights = _simpson_grid(t0, upper, panels)
-    total = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    if depth == 1:
-        for x, w in zip(nodes, weights):
-            total += w * spec.sample(x)
-        return [total]
-    for x, w in zip(nodes, weights):
-        h = spec.sample(x)
-        inner = _iterated(spec, t0, x, depth - 1, panels)
-        total += w * (h @ inner[-1])
-    return inner + [total]  # inner is now the pass at the last node, upper
+    top, lower = _tree(spec, t0, np.array([upper], dtype=float), depth, panels)
+    return lower + [top[0]]
 
 
 def dyson_u(spec: HamiltonianSpec, t0: float, t: float, order: int,
@@ -257,14 +315,9 @@ def absolute_convergence_surrogate(spec: HamiltonianSpec, t0: float, t: float,
     spec, reported rather than asserted.
     """
     _reject_kicks(spec, "absolute_convergence_surrogate")
-    outer_nodes, outer_weights = _simpson_grid(t0, t, panels)
     total = 0.0
-    for x, w in zip(outer_nodes, outer_weights):
-        hx = spec.sample(x)
-        inner_nodes, inner_weights = _simpson_grid(t0, x, panels)
-        inner = sum(
-            wi * frob(hx @ spec.sample(y))
-            for y, wi in zip(inner_nodes, inner_weights)
-        )
-        total += w * inner
-    return float(total)
+    for _, xs, wx, hx in _level_blocks(spec, t0, np.array([t], dtype=float), panels, 2):
+        for _, _, wy, hy in _level_blocks(spec, t0, xs[0], panels, 1):
+            norms = np.linalg.norm(hx[0, :, None] @ hy, axis=(-2, -1))
+            total += float(np.sum(wx[0, :, None] * wy * norms))
+    return total

@@ -142,6 +142,23 @@ def _simpson_scalar(f, a: float, b: float, panels: int) -> float:
     return float(np.sum(w * f(x)) * (b - a) / (2 * panels) / 3.0)
 
 
+def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
+    """Integral of samples ``f`` from node 0 to every node of a uniform grid.
+
+    The grid has step ``h`` and an odd number of nodes.  At even nodes
+    the value is the running sum of Simpson panels, so the last entry is
+    the composite Simpson integral; at odd nodes it is the panel start
+    plus the integral of the panel's quadratic over its first half,
+    h/12 (5 f0 + 8 f1 - f2).  Exact for cubics at even nodes and for
+    quadratics at odd ones.
+    """
+    f0, f1, f2 = f[:-2:2], f[1::2], f[2::2]
+    out = np.zeros_like(f)
+    out[2::2] = np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2))
+    out[1::2] = out[:-2:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    return out
+
+
 def _cumulative_strength(strengths, times) -> StepFunction:
     strengths = [float(v) for v in strengths]
     times = [float(t) for t in times]
@@ -230,7 +247,13 @@ def smeared_second_order(eps1: float, eps2: float, kind: str, t1: float,
     """Nested second-order integral with the delta smeared at two widths.
 
     Evaluates int_0^t dt' d_{eps2}(t' - t1) int_0^t' dt'' d_{eps1}(t'' - t1)
-    by composite Simpson, splitting both levels at t1.  For symmetric
+    on one grid of 2 panels + 1 nodes per segment, split at t1 (the
+    causal kind keeps only the segment after t1, where it is supported).
+    The inner integral at every node comes from one cumulative Simpson
+    pass over the same grid (running panel sums at even nodes, the
+    quadratic half-panel rule at odd ones), and the outer integral is
+    composite Simpson over those values, so each density is evaluated
+    once per segment and the cost is O(panels).  For symmetric
     kinds the value is 1/2 regardless of the widths; for the causal kind
     it is eps2 / (eps1 + eps2), so sharpening one width before the other
     drives the result to 0 or 1 and no unique limit exists.
@@ -251,19 +274,16 @@ def smeared_second_order(eps1: float, eps2: float, kind: str, t1: float,
     # The causal density vanishes identically left of its center; keeping the
     # quadrature on the support side avoids sampling the jump from the wrong
     # side at the segment boundary.
-    causal = kind == "causal"
-
-    def inner_cdf(x: float) -> float:
-        total = 0.0 if causal else _simpson_scalar(inner.density, 0.0, min(x, t1), panels)
-        if x > t1:
-            total += _simpson_scalar(inner.density, t1, x, panels)
-        return total
-
-    def outer_integrand(xs) -> np.ndarray:
-        return outer.density(xs) * np.array([inner_cdf(x) for x in xs])
-
-    left = 0.0 if causal else _simpson_scalar(outer_integrand, 0.0, t1, panels)
-    return left + _simpson_scalar(outer_integrand, t1, t, panels)
+    segments = ((t1, t),) if kind == "causal" else ((0.0, t1), (t1, t))
+    before = 0.0  # inner mass of the earlier segments
+    total = 0.0
+    for a, b in segments:
+        x = np.linspace(a, b, 2 * panels + 1)
+        step = (b - a) / (2 * panels)
+        cdf = before + _cumulative_simpson(inner.density(x), step)
+        total += _cumulative_simpson(outer.density(x) * cdf, step)[-1]
+        before = cdf[-1]
+    return float(total)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ a plain term-by-term series without scaling, the Lyapunov integral is a
 Gauss-Legendre quadrature that never eigendecomposes, the unitary polar
 factor comes from a Newton iteration built on matrix inverses rather
 than a singular value decomposition, the double integral is a
-brute-force sum over the ordered triangle, and the stepper samples one
-time and exponentiates one factor at a time.  Nothing here imports
+brute-force sum over the ordered triangle, the stepper samples one
+time and exponentiates one factor at a time, and the nested Simpson
+rule recurses one node at a time.  Nothing here imports
 ``pitaron_lab`` (``test_oracles.py`` checks this).
 """
 
@@ -112,6 +113,27 @@ def triangle_commutator_quadrature(sample, t0: float, t: float,
     comm = prod - prod.transpose(1, 0, 2, 3)
     lower = np.tril(np.ones((cells, cells)), k=-1)  # strict x > y
     return np.einsum("ij,ijab->ab", lower, comm) * h * h
+
+
+def nested_simpson(sample, t0: float, upper: float, depth: int, panels: int,
+                   dim: int) -> np.ndarray:
+    """Iterated Simpson integral of H(t_1) ... H(t_depth) over t0 < t_depth < ... < t_1 < upper.
+
+    Plain recursion, one node at a time: the integral below each outer
+    node x is re-gridded on its own nodes linspace(t0, x, 2 panels + 1),
+    with weights 1, 4, 2, ..., 4, 1 times step / 3, and the terms are
+    summed in node order.  Every operation is the one the nested rule
+    prescribes, so a correct evaluation of that rule matches to the bit.
+    """
+    nodes = np.linspace(t0, upper, 2 * panels + 1)
+    pattern = np.array([1.0] + [4.0, 2.0] * (panels - 1) + [4.0, 1.0])
+    total = np.zeros((dim, dim), dtype=complex)
+    for x, w in zip(nodes, pattern * ((upper - t0) / (2 * panels) / 3.0)):
+        h = np.asarray(sample(x), dtype=complex)
+        if depth > 1:
+            h = h @ nested_simpson(sample, t0, x, depth - 1, panels, dim)
+        total += w * h
+    return total
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -292,6 +292,17 @@ class TestMainEntryPoint:
         assert (tmp_path / "pauli_run.summary.json").exists()
         assert not list(tmp_path.glob("backwards*"))
 
+    @pytest.mark.parametrize("orders, panels", [([4], 28), ([0, 1], 1581), ([3], 10**300)])
+    def test_dyson_beyond_node_cap_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                                orders, panels):
+        # (2 panels + 1)^depth nodes, depth at least 2 for the Pitaron expansion
+        config = json.loads(json.dumps(DYSON_CONFIG))
+        config["params"].update(orders=orders, panels=panels)
+        path = write_config(tmp_path, "dyson_cap.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "above the cap of 10000000" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dyson_run*"))
+
     def test_jobs_fan_out(self, tmp_path, capsys):
         p1 = write_config(tmp_path, "one.json", PAULI_CONFIG)
         p2 = write_config(tmp_path, "two.json", COMB_CONFIG)

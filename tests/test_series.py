@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pitaron_lab.series as series
 from pitaron_lab.hamiltonian import SIGMA1, SIGMA3, HamiltonianSpec, dirac_comb_spec, pauli_hamiltonian
 from pitaron_lab.linalg import frob, mat_exp, unitarity_defect
 from pitaron_lab.series import (
@@ -13,7 +14,7 @@ from pitaron_lab.series import (
     general_pitaron_expansion,
 )
 
-from oracles import triangle_commutator_quadrature
+from oracles import nested_simpson, random_ginibre, triangle_commutator_quadrature
 
 
 def constant_spec(h, dim=None):
@@ -107,6 +108,68 @@ class TestDysonU:
                 partial = dyson_u(spec, 0.0, T, order, 16).partial_sums[-1]
                 errs.append(frob(partial - mat_exp(-1j * T * SIGMA1)))
             assert errs[0] / errs[1] == pytest.approx(2.0**expected_power, rel=0.2)
+
+
+def _tree_specs():
+    rng = np.random.default_rng(17)
+    a, b = random_ginibre(rng, 3), random_ginibre(rng, 3)
+    c = random_ginibre(rng, 8)
+    return {
+        "scalar": HamiltonianSpec(dim=1, smooth=lambda t: np.array([[np.exp(0.3j * t) - 0.2 * t]])),
+        "nonhermitian3": HamiltonianSpec(dim=3, smooth=lambda t: np.cos(t) * a + t * t * b),
+        "pauli": pauli_hamiltonian(np.cos, np.sin, 0.5),
+        "constant8": HamiltonianSpec.constant(c),
+    }
+
+
+TREE_SPECS = _tree_specs()
+
+
+class TestNodeTree:
+    """``_iterated`` evaluates the scalar nested-Simpson recursion level by level on stacks."""
+
+    @pytest.mark.parametrize("name", sorted(TREE_SPECS))
+    @pytest.mark.parametrize("panels", [1, 2, 7])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_every_level_matches_the_scalar_recursion(self, name, depth, panels):
+        spec = TREE_SPECS[name]
+        levels = series._iterated(spec, 0.2, 1.1, depth, panels)
+        assert len(levels) == depth
+        for k, level in enumerate(levels, start=1):
+            assert np.array_equal(level, nested_simpson(spec.sample, 0.2, 1.1, k, panels, spec.dim))
+
+    @pytest.mark.parametrize("budget", [1, 600, 20_000])
+    @pytest.mark.parametrize("depth", [3, 4])
+    @pytest.mark.parametrize("name", ["nonhermitian3", "pauli", "constant8"])
+    def test_blocked_walk_is_bit_identical(self, monkeypatch, name, depth, budget):
+        spec = TREE_SPECS[name]
+        whole = series._iterated(spec, 0.1, 1.3, depth, 3)
+        monkeypatch.setattr(series, "_TREE_BYTES", budget)
+        blocked = series._iterated(spec, 0.1, 1.3, depth, 3)
+        assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
+
+    @pytest.mark.parametrize("budget", [1, 3000])
+    def test_blocked_walk_samples_each_node_once_within_budget(self, monkeypatch, budget):
+        calls, stacks = [], []
+        sample_stack = HamiltonianSpec.sample_stack
+
+        def smooth(t):
+            calls.append(t)
+            return np.cos(t) * SIGMA1 + 0.3j * SIGMA3
+
+        def recording(self, ts):
+            stacks.append(np.size(ts))
+            return sample_stack(self, ts)
+
+        monkeypatch.setattr(series, "_TREE_BYTES", budget)
+        monkeypatch.setattr(HamiltonianSpec, "sample_stack", recording)
+        dyson_u(HamiltonianSpec(dim=2, smooth=smooth), 0.0, 1.0, 3, 4)
+        assert len(calls) == sum(stacks) == 657
+        assert max(stacks) <= max(1, budget // (16 * 4 + 8))  # a node's sample and time
+
+    def test_rejects_zero_panels(self):
+        with pytest.raises(ValueError, match="panels"):
+            dyson_u(scalar_spec(1.0), 0.0, 1.0, 2, 0)
 
 
 class TestDysonUInverse:

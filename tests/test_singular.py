@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from pitaron_lab.singular_dynamics import (
     SmearedDelta,
+    _cumulative_simpson,
     StepFunction,
     comb_expansion_terms,
     comb_pitaron_expansion,
@@ -177,6 +178,53 @@ class TestSmearedSecondOrder:
     def test_rejects_center_outside_interval(self):
         with pytest.raises(ValueError, match="t1"):
             smeared_second_order(1e-2, 1e-2, "gaussian", 3.0, 2.0)
+
+
+class TestCumulativeSimpson:
+    X = np.linspace(0.3, 1.7, 41)
+    H = 1.4 / 40
+
+    def test_exact_for_cubics_at_even_nodes(self):
+        f = lambda x: 2.0 * x**3 - x**2 + 0.5 * x - 3.0
+        F = lambda x: 0.5 * x**4 - x**3 / 3 + 0.25 * x**2 - 3.0 * x
+        cdf = _cumulative_simpson(f(self.X), self.H)
+        assert_allclose(cdf[::2], F(self.X[::2]) - F(self.X[0]), rtol=0, atol=1e-14)
+
+    def test_exact_for_quadratics_at_odd_nodes(self):
+        f = lambda x: -1.5 * x**2 + 0.7 * x + 2.0
+        F = lambda x: -0.5 * x**3 + 0.35 * x**2 + 2.0 * x
+        cdf = _cumulative_simpson(f(self.X), self.H)
+        assert cdf[0] == 0.0
+        assert_allclose(cdf, F(self.X) - F(self.X[0]), rtol=0, atol=1e-14)
+
+    def test_causal_closed_form_on_seeded_draws(self):
+        # the benchmark's smearing ranges: widths from 4 panel steps up to (t - t1) / 40
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(200):
+            t1 = rng.uniform(0.5, 1.5)
+            t = t1 + rng.uniform(0.5, 1.5)
+            step = max(t1, t - t1) / 4000
+            eps1, eps2 = np.exp(rng.uniform(np.log(4 * step), np.log((t - t1) / 40), size=2))
+            value = smeared_second_order(eps1, eps2, "causal", t1, t, panels=2000)
+            worst = max(worst, abs(value - eps2 / (eps1 + eps2)))
+        assert worst <= 1e-4
+
+    def test_density_is_evaluated_once_per_segment(self, monkeypatch):
+        calls = []
+        density = SmearedDelta.density
+        monkeypatch.setattr(SmearedDelta, "density",
+                            lambda self, x: calls.append(np.size(x)) or density(self, x))
+        smeared_second_order(1e-2, 1e-1, "causal", 1.0, 2.0, panels=400)
+        assert calls == [801, 801]
+        calls.clear()
+        smeared_second_order(1e-2, 1e-1, "gaussian", 1.0, 2.0, panels=400)
+        assert calls == [801] * 4
+
+    @pytest.mark.parametrize("eps1, eps2", [(1e-3, 1e-2), (1e-2, 1e-3)])
+    def test_gaussian_asymmetric_widths_are_half(self, eps1, eps2):
+        value = smeared_second_order(eps1, eps2, "gaussian", 1.0, 2.0, panels=400)
+        assert value == pytest.approx(0.5, abs=1e-6)
 
 
 class TestDominatedConvergence:
