@@ -206,7 +206,7 @@ def _trajectory_rows(traj: prop.Trajectory, n_trunc=None):
             "defect_U": snap.defect_U,
             "defect_P": snap.defect_P,
             "n_distance": traj.n_distance[i],
-            "z_factor": traj.z_factors[i] if traj.z_factors is not None else 1.0,
+            "z_factor": traj.z_factors[i],
         }
         if n_trunc is not None:
             row["n_trunc"] = n_trunc(traj.grid[i])

@@ -55,19 +55,19 @@ class HamiltonianSpec:
     specs); the stepper chooses where to sample it.  Kick times must be
     strictly increasing and every matrix must match ``dim``.
 
-    ``sample(t)`` evaluates one time; ``sample_stack(ts)`` evaluates an
+    ``sample_stack(ts)`` is the one way H is sampled: it evaluates an
     array of times into a ``(*ts.shape, dim, dim)`` stack with one shape
-    and finiteness check, which is how the stepper samples a cell.  A
-    user ``smooth`` is called once per time there; library builders
-    that can evaluate a whole time array at once store that evaluator
-    in ``smooth_stack`` (``pauli_hamiltonian`` does).
+    and finiteness check, and ``sample(t)`` is its 0-d case.  A user
+    ``smooth`` is called once per time there; library builders whose
+    ``smooth`` also broadcasts over a whole time array store it in
+    ``smooth_stack`` too (``pauli_hamiltonian`` does).
 
     A time-independent smooth part is best built with
     ``HamiltonianSpec.constant``: the matrix is validated once, stored as
-    a read-only copy in ``constant_matrix`` and returned by ``sample``
-    (and broadcast by ``sample_stack``) without further checks, and the
-    stepper exponentiates each distinct step width of such a spec only
-    once.  ``smooth`` is still a callable returning it.
+    a read-only copy in ``constant_matrix`` and broadcast by
+    ``sample_stack`` without further checks, and the stepper
+    exponentiates each distinct step width of such a spec only once.
+    ``smooth`` is still a callable returning it.
     """
 
     dim: int
@@ -102,25 +102,12 @@ class HamiltonianSpec:
         return spec
 
     def sample(self, t: float) -> np.ndarray:
-        """Evaluate the smooth part at time t (zero matrix if absent).
+        """The smooth part at time t: ``sample_stack`` of the 0-d time ``t``.
 
-        A constant spec returns its stored read-only matrix unchecked.
+        A constant spec gives a read-only view of its matrix and a
+        pure-kick spec the zero matrix.
         """
-        if self.constant_matrix is not None:
-            return self.constant_matrix
-        if self.smooth is None:
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        h = np.asarray(self.smooth(t), dtype=np.complex128)
-        if h.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"smooth part returned shape {h.shape} at t={t}, expected "
-                f"({self.dim}, {self.dim})"
-            )
-        # a single sum propagates any nan/inf and is much cheaper per sample
-        # than an elementwise isfinite scan on the stepper's hot path
-        if not np.isfinite(h.sum()):
-            raise ValueError(f"smooth part returned non-finite entries at t={t}")
-        return h
+        return self.sample_stack(t)
 
     def sample_stack(self, ts) -> np.ndarray:
         """The smooth part at every time of ``ts``, shape ``(*ts.shape, dim, dim)``.
@@ -185,13 +172,6 @@ def hermitian_split(h) -> SplitHamiltonian:
     return SplitHamiltonian(h_part=h_part, j_part=j_part, commutator_norm=frob(comm))
 
 
-def _as_time_function(f) -> Callable[[float], float]:
-    if callable(f):
-        return f
-    value = float(f)
-    return lambda t: value
-
-
 def _coefficients(f, ts: np.ndarray) -> np.ndarray:
     """A coefficient at every time of ``ts``: broadcast, one ufunc call, or one call per time."""
     if not callable(f):
@@ -205,22 +185,19 @@ def pauli_hamiltonian(f1, f2, f3) -> HamiltonianSpec:
     """Two-level spec H(t) = f1(t) s1 + f2(t) s2 + f3(t) s3.
 
     Each coefficient may be a callable of t or a constant.  The result is
-    traceless and Hermitian at every time.  ``sample_stack`` builds its
-    stack by broadcasting: constants broadcast, a numpy ufunc is applied
-    to the whole time array once, and any other callable (``math.cos``,
-    say) is called once per time.
+    traceless and Hermitian at every time.  Its ``smooth`` broadcasts
+    over an array of times and is also its ``smooth_stack``: constants
+    broadcast, a numpy ufunc is applied to the whole time array once,
+    and any other callable (``math.cos``, say) is called once per time.
     """
-    g1, g2, g3 = _as_time_function(f1), _as_time_function(f2), _as_time_function(f3)
 
-    def smooth(t: float) -> np.ndarray:
-        return g1(t) * SIGMA1 + g2(t) * SIGMA2 + g3(t) * SIGMA3
-
-    def smooth_stack(ts: np.ndarray) -> np.ndarray:
+    def smooth(ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
         c1, c2, c3 = (_coefficients(f, ts)[..., None, None] for f in (f1, f2, f3))
         return c1 * SIGMA1 + c2 * SIGMA2 + c3 * SIGMA3
 
     spec = HamiltonianSpec(dim=2, smooth=smooth)
-    object.__setattr__(spec, "smooth_stack", smooth_stack)
+    object.__setattr__(spec, "smooth_stack", smooth)
     return spec
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 # Frobenius tolerance below which a matrix counts as Hermitian.
 HERMITICITY_TOL = 1e-10
-# Eigenvalues in [-PD_CLAMP_TOL, 0) are clamped to zero in positive_sqrt.
+# Eigenvalues in [-PD_CLAMP_TOL, 0) are clamped to zero in positive_sqrt, and
+# lyapunov_solve needs eigenvalue pair sums above it.
 PD_CLAMP_TOL = 1e-12
 # Condition numbers beyond this make an inverse numerically meaningless;
 # operations fail loudly instead of returning noise.
@@ -143,30 +144,30 @@ def _taylor_horner(a: np.ndarray, degree: int) -> np.ndarray:
     return p
 
 
-def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenSystem:
+def hermitian_eig(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Rejects inputs whose Hermiticity defect exceeds ``tol``.
+    Rejects inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL``.
     """
     a = as_matrix(a)
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} > {HERMITICITY_TOL:.1e}"
         )
     values, vectors = np.linalg.eigh(hermitize(a))
     return EigenSystem(values=values, vectors=vectors)
 
 
-def positive_sqrt(a, tol: float = PD_CLAMP_TOL) -> np.ndarray:
+def positive_sqrt(a) -> np.ndarray:
     """Unique Hermitian positive semidefinite root R with R @ R = A.
 
-    Eigenvalues below ``-tol`` are rejected; values in [-tol, 0) are
-    clamped to zero before taking the root.
+    Eigenvalues below ``-PD_CLAMP_TOL`` are rejected; values in
+    [-PD_CLAMP_TOL, 0) are clamped to zero before taking the root.
     """
     es = hermitian_eig(a)
     values = es.values.copy()
-    if values[0] < -tol:
+    if values[0] < -PD_CLAMP_TOL:
         raise np.linalg.LinAlgError(
             f"matrix is not positive semidefinite: min eigenvalue {values[0]:.3e}"
         )
@@ -175,12 +176,13 @@ def positive_sqrt(a, tol: float = PD_CLAMP_TOL) -> np.ndarray:
     return hermitize(root)
 
 
-def lyapunov_solve(n, q, tol: float = PD_CLAMP_TOL) -> np.ndarray:
+def lyapunov_solve(n, q) -> np.ndarray:
     """Solve N @ X + X @ N = Q for Hermitian positive definite N.
 
     Worked in the eigenbasis of N, where the solution is entrywise
     Q_ij / (lambda_i + lambda_j); positivity of the spectrum makes it
-    unique.
+    unique.  N counts as positive definite when every pair sum
+    lambda_i + lambda_j exceeds ``PD_CLAMP_TOL``.
     """
     n = as_matrix(n)
     q = as_matrix(q)
@@ -188,7 +190,7 @@ def lyapunov_solve(n, q, tol: float = PD_CLAMP_TOL) -> np.ndarray:
         raise ValueError(f"dimension mismatch: N is {n.shape}, Q is {q.shape}")
     es = hermitian_eig(n)
     pair_sums = es.values[:, None] + es.values[None, :]
-    if np.min(pair_sums) <= tol:
+    if np.min(pair_sums) <= PD_CLAMP_TOL:
         raise np.linalg.LinAlgError(
             f"N is not positive definite: min eigenvalue pair sum "
             f"{np.min(pair_sums):.3e}"

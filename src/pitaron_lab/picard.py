@@ -141,20 +141,19 @@ def _second_iterate_mixed(a: float, eps_inner: float, eps_outer: float,
 
 
 def picard_delta_breakdown(a: float, epsilon: float, x1: float,
-                           n_max: int = 2, grid: int = 32001) -> BreakdownReport:
+                           grid: int = 32001) -> BreakdownReport:
     """Probe the iteration on f(x, y) = delta(x - a) y via smearing.
 
     Runs symmetric Gaussian smearings over a decreasing width sequence
     (second iterates hover near 1 + 1 + 1/2) and the two decade-apart
     causal width pairs, whose second iterates differ by almost one:
-    no unique smeared limit exists, unlike the direct solution.
+    no unique smeared limit exists, unlike the direct solution.  Each
+    run stops at the second iterate, where the pathology appears.
     """
     if not (0.0 < a < x1):
         raise ValueError(f"need 0 < a < x1, got a={a}, x1={x1}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if n_max < 2:
-        raise ValueError("the pathology appears at the second iterate; n_max >= 2")
 
     eps_sequence = tuple(epsilon * f for f in (4.0, 2.0, 1.0))
     symmetric = []
@@ -167,7 +166,7 @@ def picard_delta_breakdown(a: float, epsilon: float, x1: float,
             )
         run = picard_iterate(
             lambda x, y, d=delta: d.density(x) * y,
-            y0=1.0, x0=0.0, x1=x1, n_max=n_max, grid=grid,
+            y0=1.0, x0=0.0, x1=x1, n_max=2, grid=grid,
         )
         symmetric.append(float(run.iterates[2][-1]))
 

@@ -2,12 +2,15 @@
 
 ``step_propagator`` builds U(t, t0) as an ordered product of short-time
 exponentials with exact kick factors, sampled and exponentiated as one
-stack per cell.  ``pitaron`` is the one place that unitarizes: from one
-singular value decomposition of U it forms N = (U U^dagger)^(-1/2), the
-manifestly unitary P = N @ U and the condition number of U
-(``normalization_operator`` is its N).  The three right-hand-side
-routines evaluate the evolution laws claimed for dN/dt so tests can
-compare them against finite differences of the definition.
+stack per cell.  ``pitaron(U)`` is the one place that unitarizes and the
+only source of ``PropagatorTriple``: from one singular value
+decomposition of U it forms N = (U U^dagger)^(-1/2), the manifestly
+unitary P = N @ U and the condition number of U, and it fails above
+``COND_THRESHOLD`` (``normalization_operator`` is its N).  Every
+trajectory snapshot comes from it, the identity at t0 included.  The
+three right-hand-side routines evaluate the evolution laws claimed for
+dN/dt so tests can compare them against finite differences of the
+definition.
 
 Kick convention: a kick at time tau belongs to every interval with
 tau in (t0, t], i.e. left-open and right-closed.  This makes ordered
@@ -30,6 +33,7 @@ import numpy as np
 from .hamiltonian import HamiltonianSpec, SplitHamiltonian
 from .linalg import (
     COND_THRESHOLD,
+    HERMITICITY_TOL,
     as_matrix,
     frob,
     hermiticity_defect,
@@ -64,11 +68,10 @@ class PropagatorTriple:
     at rounding level (a few dim * eps) for every P returned, whatever
     cond_U is below the threshold.  N and P carry errors of order
     eps * cond_U (not eps * cond_U^2), and P equals N @ U to within about
-    dim * eps * cond_U.
+    dim * eps * cond_U.  Built only by ``pitaron``; the time of a
+    trajectory snapshot is the matching entry of ``Trajectory.grid``.
     """
 
-    t0: float
-    t: float
     U: np.ndarray
     N: np.ndarray
     P: np.ndarray
@@ -201,19 +204,20 @@ def _as_propagator(u) -> np.ndarray:
         raise
 
 
-def normalization_operator(u, cond_threshold: float = COND_THRESHOLD) -> np.ndarray:
+def normalization_operator(u) -> np.ndarray:
     """N = (U U^dagger)^(-1/2), the positive root of (U^dagger)^-1 U^-1.
 
     Hermitian positive definite, and the identity whenever U is unitary.
     This is ``pitaron(u).N``: W Sigma^-1 W^dagger from the singular value
     decomposition U = W Sigma V^dagger, accurate to about eps * cond_U
-    relative to ||N||.  Non-finite entries raise ``FloatingPointError``.
+    relative to ||N||.  It fails as ``pitaron`` does: a singular U, or one
+    with cond_U above ``COND_THRESHOLD``, raises ``LinAlgError`` and
+    non-finite entries raise ``FloatingPointError``.
     """
-    return pitaron(u, cond_threshold=cond_threshold).N
+    return pitaron(u).N
 
 
-def pitaron(u, t0: float = 0.0, t: float = 0.0,
-            cond_threshold: float = COND_THRESHOLD) -> PropagatorTriple:
+def pitaron(u) -> PropagatorTriple:
     """Assemble the unitarized triple (U, N, P = N @ U) with diagnostics.
 
     One singular value decomposition U = W Sigma V^dagger gives all of
@@ -221,7 +225,7 @@ def pitaron(u, t0: float = 0.0, t: float = 0.0,
     of U, which N @ U equals in exact arithmetic), cond_U = sigma_max /
     sigma_min and defect_U = ||Sigma^2 - 1||, which is ||U^dagger U - 1||_F
     because U^dagger U - 1 = V (Sigma^2 - 1) V^dagger.  A singular U, or
-    one with cond_U above ``cond_threshold``, raises ``LinAlgError``;
+    one with cond_U above ``COND_THRESHOLD``, raises ``LinAlgError``;
     non-finite entries raise ``FloatingPointError``.
     """
     u = _as_propagator(u)
@@ -229,14 +233,12 @@ def pitaron(u, t0: float = 0.0, t: float = 0.0,
     if s[-1] == 0.0:
         raise np.linalg.LinAlgError("propagator is numerically singular")
     cond = float(s[0] / s[-1])
-    if cond > cond_threshold:
+    if cond > COND_THRESHOLD:
         raise np.linalg.LinAlgError(
             f"propagator too ill-conditioned to normalize: cond = {cond:.3e}"
         )
     p = w @ vh
     return PropagatorTriple(
-        t0=t0,
-        t=t,
         U=u,
         N=hermitize((w / s) @ w.conj().T),
         P=p,
@@ -256,12 +258,15 @@ def z_factor(u, psi) -> float:
     return float(np.linalg.norm(u @ psi)) / norm
 
 
-def liouville_rhs(h, n, tol: float = 1e-10) -> np.ndarray:
-    """-i [H, N], the probability-conserving law for Hermitian H."""
+def liouville_rhs(h, n) -> np.ndarray:
+    """-i [H, N], the probability-conserving law for Hermitian H.
+
+    H counts as Hermitian when ||H - H^dagger||_F <= ``HERMITICITY_TOL``.
+    """
     h = as_matrix(h)
     n = as_matrix(n)
     defect = hermiticity_defect(h)
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(
             f"Liouville form requires Hermitian H: defect {defect:.3e}"
         )
@@ -311,8 +316,10 @@ def evolve_trajectory(
 
     One pass reuses partial products: U(g_k, t0) = U(g_k, g_{k-1}) @
     U(g_{k-1}, t0).  Kicks at grid times land in the cell ending there.
-    The initial snapshot is exactly the identity.  ``z_factors`` tracks
-    ||U psi0|| / ||psi0|| when a reference state is supplied.
+    Every snapshot is ``pitaron`` of the cumulative product; the first is
+    that of the identity, which is exact: U = N = P = 1, zero defects and
+    cond_U = 1.  ``z_factors`` tracks ||U psi0|| / ||psi0|| for the
+    reference state ``psi0`` when one is supplied.
 
     Each cell costs one stacked H sample and one stacked exponential
     (per ``_CHUNK`` substeps; see ``_ordered_product``).  For a constant
@@ -334,17 +341,12 @@ def evolve_trajectory(
             raise ValueError("reference state must be nonzero")
 
     eye = np.eye(spec.dim, dtype=np.complex128)
-    snapshots = [
-        PropagatorTriple(
-            t0=t0, t=t0, U=eye, N=eye.copy(), P=eye.copy(),
-            defect_U=0.0, defect_P=0.0, cond_U=1.0,
-        )
-    ]
+    snapshots = [pitaron(eye)]
     u = eye
     memo: dict = {}
     for a, b in zip(grid[:-1], grid[1:]):
         u = _ordered_product(spec, a, b, steps_per_cell, memo) @ u
-        snapshots.append(pitaron(u, t0=t0, t=b))
+        snapshots.append(pitaron(u))
 
     n_distance = np.array([frob(s.N - eye) for s in snapshots])
     z_factors = None

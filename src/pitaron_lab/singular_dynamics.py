@@ -253,7 +253,9 @@ def smeared_second_order(eps1: float, eps2: float, kind: str, t1: float,
     pass over the same grid (running panel sums at even nodes, the
     quadratic half-panel rule at odd ones), and the outer integral is
     composite Simpson over those values, so each density is evaluated
-    once per segment and the cost is O(panels).  For symmetric
+    once per segment and the cost is O(panels).  The step of the longest
+    integrated segment must be at most a quarter of the finer width, else
+    ``ValueError``.  For symmetric
     kinds the value is 1/2 regardless of the widths; for the causal kind
     it is eps2 / (eps1 + eps2), so sharpening one width before the other
     drives the result to 0 or 1 and no unique limit exists.
@@ -262,19 +264,17 @@ def smeared_second_order(eps1: float, eps2: float, kind: str, t1: float,
         raise ValueError(f"need 0 < t1 < t, got t1={t1}, t={t}")
     inner = SmearedDelta(kind=kind, epsilon=float(eps1), center=t1)
     outer = SmearedDelta(kind=kind, epsilon=float(eps2), center=t1)
-    seg = max(t1, t - t1)
-    h = seg / (2 * panels)
+    # The causal density vanishes identically left of its center; keeping the
+    # quadrature on the support side avoids sampling the jump from the wrong
+    # side at the segment boundary.
+    segments = ((t1, t),) if kind == "causal" else ((0.0, t1), (t1, t))
+    h = max(b - a for a, b in segments) / (2 * panels)
     finest = min(inner.scale, outer.scale)
     if h > finest / 4.0:
         raise ValueError(
             f"quadrature too coarse for the smearing widths: panel step "
             f"{h:.3e} exceeds {finest / 4.0:.3e}; raise panels"
         )
-
-    # The causal density vanishes identically left of its center; keeping the
-    # quadrature on the support side avoids sampling the jump from the wrong
-    # side at the segment boundary.
-    segments = ((t1, t),) if kind == "causal" else ((0.0, t1), (t1, t))
     before = 0.0  # inner mass of the earlier segments
     total = 0.0
     for a, b in segments:
@@ -297,8 +297,11 @@ class DominatedConvergenceReport:
     family2_at_1: tuple[float, ...]
 
 
-def dominated_convergence_demos(n_list, window: float | None = None,
-                                panels: int = 2048) -> DominatedConvergenceReport:
+# Simpson panels for each family-2 integral of dominated_convergence_demos.
+_DOMINATED_PANELS = 2048
+
+
+def dominated_convergence_demos(n_list, window: float | None = None) -> DominatedConvergenceReport:
     """Limit/integral non-exchange on two classic function families.
 
     Family 1 is 1/n on (0, n): pointwise limit zero, integral exactly one
@@ -322,7 +325,7 @@ def dominated_convergence_demos(n_list, window: float | None = None,
             raise ValueError(
                 f"window {w} too small for n={n}: tail mass {tail:.3e}"
             )
-        f2_int.append(_simpson_scalar(lambda x: n * x * np.exp(-n * x * x), 0.0, w, panels))
+        f2_int.append(_simpson_scalar(lambda x: n * x * np.exp(-n * x * x), 0.0, w, _DOMINATED_PANELS))
         f1_at1.append(1.0 / n if 0.0 < 1.0 < n else 0.0)
         f2_at1.append(n * math.exp(-n))
     return DominatedConvergenceReport(

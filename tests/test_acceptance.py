@@ -187,7 +187,7 @@ def test_c11_picard_bound_breakdown_and_roots():
     run = pl.picard_iterate(lambda x, y: y, 1.0, 0.0, 1.0, 12, 20001, reference=np.exp)
     bound = pl.error_bound(math.e, 1.0, 1.0, 12)
     assert run.errors[12] <= bound
-    breakdown = pl.picard_delta_breakdown(1.0, 1e-2, 2.0, n_max=2, grid=32001)
+    breakdown = pl.picard_delta_breakdown(1.0, 1e-2, 2.0, grid=32001)
     assert breakdown.asymmetric_spread >= 0.4
     rng = np.random.default_rng(42)
     worst = 0.0

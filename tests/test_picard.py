@@ -77,7 +77,7 @@ class TestErrorBound:
 
 @pytest.fixture(scope="module")
 def report():
-    return picard_delta_breakdown(1.0, 1e-2, 2.0, n_max=2, grid=32001)
+    return picard_delta_breakdown(1.0, 1e-2, 2.0, grid=32001)
 
 
 class TestDeltaBreakdown:

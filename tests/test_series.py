@@ -136,7 +136,7 @@ class TestNodeTree:
         levels = series._iterated(spec, 0.2, 1.1, depth, panels)
         assert len(levels) == depth
         for k, level in enumerate(levels, start=1):
-            assert np.array_equal(level, nested_simpson(spec.sample, 0.2, 1.1, k, panels, spec.dim))
+            assert np.array_equal(level, nested_simpson(spec.smooth, 0.2, 1.1, k, panels, spec.dim))
 
     @pytest.mark.parametrize("budget", [1, 600, 20_000])
     @pytest.mark.parametrize("depth", [3, 4])
@@ -235,7 +235,7 @@ class TestHermitianExpansions:
         comm_term = exp.terms[2] + 0.5 * (a @ a)  # isolate -(1/2) int int [H, H']
         exact = -0.5 * (SIGMA3 @ SIGMA1 - SIGMA1 @ SIGMA3) * T1 * (T - T1)
         assert frob(comm_term - exact) < 0.02
-        oracle = triangle_commutator_quadrature(spec.sample, 0.0, T, cells=600)
+        oracle = triangle_commutator_quadrature(spec.smooth, 0.0, T, cells=600)
         assert frob(comm_term - (-0.5) * oracle) < 0.03
         assert frob(comm_term) > 0.3  # genuinely nonzero
 

@@ -210,6 +210,13 @@ class TestCumulativeSimpson:
             worst = max(worst, abs(value - eps2 / (eps1 + eps2)))
         assert worst <= 1e-4
 
+    def test_causal_guard_uses_the_integrated_segment(self):
+        # only [t1, t] = [1.5, 2.0] is integrated: step 0.5 / 4000, not 1.5 / 4000
+        value = smeared_second_order(1e-3, 2e-3, "causal", 1.5, 2.0, panels=2000)
+        assert value == pytest.approx(2.0 / 3.0, abs=1e-5)
+        with pytest.raises(ValueError, match="too coarse"):
+            smeared_second_order(1e-3, 2e-3, "causal", 1.5, 2.0, panels=900)
+
     def test_density_is_evaluated_once_per_segment(self, monkeypatch):
         calls = []
         density = SmearedDelta.density
