@@ -17,11 +17,8 @@ from .hamiltonian import (
     pauli_hamiltonian,
 )
 from .linalg import (
-    EigenSystem,
-    hermitian_eig,
     lyapunov_solve,
     mat_exp,
-    positive_sqrt,
     unitarity_defect,
 )
 from .propagation import (
@@ -32,7 +29,6 @@ from .propagation import (
     liouville_rhs,
     lyapunov_n_rhs,
     markov_check,
-    normalization_operator,
     pitaron,
     step_propagator,
     z_factor,

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, as_matrix, frob, hermitize
+from .linalg import HERMITICITY_TOL, as_matrix, frob, hermiticity_defect, hermitize
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -135,7 +135,7 @@ class HamiltonianSpec:
             h = h.reshape(*ts.shape, *h.shape[1:])
         if h.shape != shape:
             raise ValueError(f"smooth part returned a stack of shape {h.shape}, expected {shape}")
-        if not np.isfinite(h.sum()):
+        if not np.all(np.isfinite(h)):
             bad = ts[~np.isfinite(h).all(axis=(-2, -1))]
             raise ValueError(f"smooth part returned non-finite entries at t={bad.flat[0]}")
         return h
@@ -254,7 +254,7 @@ def dirac_comb_spec(
         generator = as_matrix(generator)
         if generator.shape != (dim, dim):
             raise ValueError("generator dimension does not match dim")
-        if frob(generator - generator.conj().T) > HERMITICITY_TOL:
+        if hermiticity_defect(generator) > HERMITICITY_TOL:
             raise ValueError("comb generator must be Hermitian")
     kicks = tuple(Kick(time=t, strength=v * generator) for v, t in zip(strengths, times))
     return HamiltonianSpec(dim=dim, smooth=None, kicks=kicks)

@@ -1,26 +1,25 @@
 """Dense complex matrix kernel.
 
 Everything downstream (propagators, normalization operators, expansions)
-compiles down to the handful of primitives in this module: matrix
-exponentials, Hermitian eigendecompositions, positive square roots and
-Lyapunov solves.  All matrices are square complex128 numpy arrays,
-validated on entry.  ``mat_exp`` also takes a stack ``(..., n, n)`` and
-exponentiates it in one call, each matrix exactly as it would be on its
-own.  Target dimensions are desk scale (dim <= 64); storage is always
-dense.
+compiles down to the primitives in this module: the matrix exponential,
+Frobenius-norm defects and the Lyapunov solve.  All matrices are square
+complex128 numpy arrays, validated on entry.  ``mat_exp`` also takes a
+stack ``(..., n, n)`` and exponentiates it in one call, each matrix
+exactly as it would be on its own.  The positive root N = (U U^dagger)^(-1/2)
+is not built here: ``propagation.pitaron`` forms it from one singular
+value decomposition.  Target dimensions are desk scale (dim <= 64);
+storage is always dense.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Frobenius tolerance below which a matrix counts as Hermitian.
 HERMITICITY_TOL = 1e-10
-# Eigenvalues in [-PD_CLAMP_TOL, 0) are clamped to zero in positive_sqrt, and
-# lyapunov_solve needs eigenvalue pair sums above it.
+# lyapunov_solve needs every eigenvalue pair sum of N above this.
 PD_CLAMP_TOL = 1e-12
 # Condition numbers beyond this make an inverse numerically meaningless;
 # operations fail loudly instead of returning noise.
@@ -36,28 +35,33 @@ __all__ = [
     "HERMITICITY_TOL",
     "PD_CLAMP_TOL",
     "COND_THRESHOLD",
-    "EigenSystem",
     "as_matrix",
     "frob",
     "hermiticity_defect",
     "unitarity_defect",
     "mat_exp",
-    "hermitian_eig",
-    "positive_sqrt",
     "lyapunov_solve",
 ]
+
+
+def _square_stack(a, expected: str) -> np.ndarray:
+    """``a`` as complex128 with square trailing dimensions >= 1 and finite entries."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected {expected}, got shape {m.shape}")
+    if m.shape[-1] < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _square_stack(m, "a square matrix")
 
 
 def frob(a: np.ndarray) -> float:
@@ -81,22 +85,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral data of a Hermitian matrix.
-
-    ``values`` are real and ascending, ``vectors`` holds the orthonormal
-    eigenvectors as columns, so ``vectors @ diag(values) @ vectors^dagger``
-    reconstructs the input.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
 def mat_exp(a) -> np.ndarray:
     """exp(A) by scaling and squaring with a Taylor core, for one matrix or a stack.
 
@@ -111,13 +99,7 @@ def mat_exp(a) -> np.ndarray:
     whatever else is in the stack.  Relative accuracy is ~1e-14 for
     norms up to ~30.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.shape[-1] < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    a = _square_stack(a, "a square matrix or a stack of them")
     n = a.shape[-1]
     stack = a.reshape(-1, n, n)
     # smallest s >= 0 with ||A||_1 2^-s <= 0.5, exact through frexp
@@ -144,57 +126,31 @@ def _taylor_horner(a: np.ndarray, degree: int) -> np.ndarray:
     return p
 
 
-def hermitian_eig(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Rejects inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL``.
-    """
-    a = as_matrix(a)
-    defect = hermiticity_defect(a)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} > {HERMITICITY_TOL:.1e}"
-        )
-    values, vectors = np.linalg.eigh(hermitize(a))
-    return EigenSystem(values=values, vectors=vectors)
-
-
-def positive_sqrt(a) -> np.ndarray:
-    """Unique Hermitian positive semidefinite root R with R @ R = A.
-
-    Eigenvalues below ``-PD_CLAMP_TOL`` are rejected; values in
-    [-PD_CLAMP_TOL, 0) are clamped to zero before taking the root.
-    """
-    es = hermitian_eig(a)
-    values = es.values.copy()
-    if values[0] < -PD_CLAMP_TOL:
-        raise np.linalg.LinAlgError(
-            f"matrix is not positive semidefinite: min eigenvalue {values[0]:.3e}"
-        )
-    values[values < 0.0] = 0.0
-    root = (es.vectors * np.sqrt(values)) @ es.vectors.conj().T
-    return hermitize(root)
-
-
 def lyapunov_solve(n, q) -> np.ndarray:
     """Solve N @ X + X @ N = Q for Hermitian positive definite N.
 
-    Worked in the eigenbasis of N, where the solution is entrywise
-    Q_ij / (lambda_i + lambda_j); positivity of the spectrum makes it
-    unique.  N counts as positive definite when every pair sum
-    lambda_i + lambda_j exceeds ``PD_CLAMP_TOL``.
+    N must be Hermitian to within ``HERMITICITY_TOL`` (else ``ValueError``).
+    The solve works in the eigenbasis of N from ``np.linalg.eigh``, where
+    the solution is entrywise Q_ij / (lambda_i + lambda_j); positivity of
+    the spectrum makes it unique.  N counts as positive definite when
+    every pair sum lambda_i + lambda_j exceeds ``PD_CLAMP_TOL``, else
+    ``LinAlgError``.
     """
     n = as_matrix(n)
     q = as_matrix(q)
     if n.shape != q.shape:
         raise ValueError(f"dimension mismatch: N is {n.shape}, Q is {q.shape}")
-    es = hermitian_eig(n)
-    pair_sums = es.values[:, None] + es.values[None, :]
+    defect = hermiticity_defect(n)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(
+            f"N is not Hermitian: ||N - N^dagger||_F = {defect:.3e} > {HERMITICITY_TOL:.1e}"
+        )
+    values, v = np.linalg.eigh(hermitize(n))
+    pair_sums = values[:, None] + values[None, :]
     if np.min(pair_sums) <= PD_CLAMP_TOL:
         raise np.linalg.LinAlgError(
             f"N is not positive definite: min eigenvalue pair sum "
             f"{np.min(pair_sums):.3e}"
         )
-    v = es.vectors
     q_tilde = v.conj().T @ q @ v
     return v @ (q_tilde / pair_sums) @ v.conj().T

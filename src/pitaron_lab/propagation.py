@@ -6,7 +6,7 @@ stack per cell.  ``pitaron(U)`` is the one place that unitarizes and the
 only source of ``PropagatorTriple``: from one singular value
 decomposition of U it forms N = (U U^dagger)^(-1/2), the manifestly
 unitary P = N @ U and the condition number of U, and it fails above
-``COND_THRESHOLD`` (``normalization_operator`` is its N).  Every
+``COND_THRESHOLD``.  It is the only route to N: ``pitaron(u).N``.  Every
 trajectory snapshot comes from it, the identity at t0 included.  The
 three right-hand-side routines evaluate the evolution laws claimed for
 dN/dt so tests can compare them against finite differences of the
@@ -47,7 +47,6 @@ __all__ = [
     "PropagatorTriple",
     "Trajectory",
     "step_propagator",
-    "normalization_operator",
     "pitaron",
     "z_factor",
     "liouville_rhs",
@@ -202,19 +201,6 @@ def _as_propagator(u) -> np.ndarray:
         if not np.all(np.isfinite(np.asarray(u, dtype=np.complex128))):
             raise FloatingPointError("propagator has non-finite entries (overflow)") from None
         raise
-
-
-def normalization_operator(u) -> np.ndarray:
-    """N = (U U^dagger)^(-1/2), the positive root of (U^dagger)^-1 U^-1.
-
-    Hermitian positive definite, and the identity whenever U is unitary.
-    This is ``pitaron(u).N``: W Sigma^-1 W^dagger from the singular value
-    decomposition U = W Sigma V^dagger, accurate to about eps * cond_U
-    relative to ||N||.  It fails as ``pitaron`` does: a singular U, or one
-    with cond_U above ``COND_THRESHOLD``, raises ``LinAlgError`` and
-    non-finite entries raise ``FloatingPointError``.
-    """
-    return pitaron(u).N
 
 
 def pitaron(u) -> PropagatorTriple:

@@ -91,11 +91,11 @@ def test_c05_dn_dt_route_consistency():
     for t in np.linspace(0.1, 2.0, 20):
         u = mat_exp(-1j * NONHER_H * t)
         du = -1j * NONHER_H @ u
-        n = pl.normalization_operator(u)
+        n = pl.pitaron(u).N
         general = pl.general_n_rhs(split, n)
         sylvester = pl.lyapunov_n_rhs(u, du, n)
-        n_plus = pl.normalization_operator(mat_exp(-1j * NONHER_H * (t + fd_step)))
-        n_minus = pl.normalization_operator(mat_exp(-1j * NONHER_H * (t - fd_step)))
+        n_plus = pl.pitaron(mat_exp(-1j * NONHER_H * (t + fd_step))).N
+        n_minus = pl.pitaron(mat_exp(-1j * NONHER_H * (t - fd_step))).N
         finite_diff = (n_plus - n_minus) / (2 * fd_step)
         worst = max(worst, frob(general - sylvester), frob(general - finite_diff),
                     frob(sylvester - finite_diff))

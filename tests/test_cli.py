@@ -245,6 +245,19 @@ class TestMainEntryPoint:
         assert not (tmp_path / "overflow.csv").exists()
         assert not (tmp_path / "overflow.summary.json").exists()
 
+    def test_finite_drive_beyond_float_range_exits_three(self, tmp_path, capsys):
+        # f1 = 1e308: every entry of H is finite, but the entries sum past the float range
+        config = {
+            "kind": "evolve",
+            "output_path": "big",
+            "params": {"model": "pauli", "f1": 1e308, "f2": 0.0, "f3": "cos",
+                       "t0": 0.0, "t1": 1.0, "grid_points": 3, "steps_per_cell": 2},
+        }
+        path = write_config(tmp_path, "cfg.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("big.*"))
+
     def test_math_overflow_exits_three(self, tmp_path, capsys):
         # exp(g * x1) = exp(1000) in the a-priori bound raises OverflowError
         config = {

@@ -228,6 +228,11 @@ class TestSampleStack:
         with pytest.raises(ValueError, match="t=0.5"):
             spec.sample_stack([0.0, 0.5, 1.0])
 
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        spec = HamiltonianSpec(dim=2, smooth=lambda t: np.full((2, 2), 1e308))
+        stack = spec.sample_stack([0.0, 1.0])
+        assert np.array_equal(stack, np.full((2, 2, 2), 1e308))
+
     def test_empty_times(self):
         spec = pauli_hamiltonian(np.cos, 0.0, 1.0)
         assert spec.sample_stack(np.array([])).shape == (0, 2, 2)

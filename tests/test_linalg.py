@@ -3,13 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pitaron_lab.linalg import (
-    EigenSystem,
     as_matrix,
     frob,
-    hermitian_eig,
     lyapunov_solve,
     mat_exp,
-    positive_sqrt,
     unitarity_defect,
 )
 from pitaron_lab.propagation import pitaron
@@ -112,63 +109,6 @@ class TestMatExpStack:
         assert out.shape == (0, 3, 3)
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        es = hermitian_eig(np.diag([3.0, 1.0]).astype(complex))
-        assert_allclose(es.values, [1.0, 3.0])
-        assert_allclose(np.abs(es.vectors), np.eye(2)[:, ::-1], atol=1e-14)
-
-    def test_pauli_x_spectrum(self):
-        assert_allclose(hermitian_eig(SIGMA1).values, [-1.0, 1.0], atol=1e-14)
-
-    def test_two_by_two_hand_spectrum(self):
-        es = hermitian_eig(np.array([[2, 1], [1, 2]], dtype=complex))
-        assert_allclose(es.values, [1.0, 3.0], atol=1e-14)
-
-    def test_reconstruction_and_orthonormality(self, rng):
-        for dim in (2, 7, 16):
-            a = random_pd(rng, dim, -2.0, 2.0)
-            es = hermitian_eig(a)
-            assert frob(es.reconstruct() - a) < 1e-12 * max(1.0, frob(a))
-            assert unitarity_defect(es.vectors) < 1e-13
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestPositiveSqrt:
-    def test_diagonal(self):
-        assert_allclose(positive_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_identity(self):
-        assert_allclose(positive_sqrt(np.eye(4)), np.eye(4), atol=1e-14)
-
-    def test_hand_eigenpairs(self):
-        # eigenvalues 1 and 3 on (1,-1) and (1,1): root entries (sqrt3 +- 1)/2
-        root = positive_sqrt(np.array([[2, 1], [1, 2]], dtype=complex))
-        s = np.sqrt(3.0)
-        expected = np.array([[(s + 1) / 2, (s - 1) / 2], [(s - 1) / 2, (s + 1) / 2]])
-        assert_allclose(root, expected, atol=1e-12)
-        assert_allclose(root @ root, [[2, 1], [1, 2]], atol=1e-12)
-
-    def test_square_recovers_input(self, rng):
-        for dim in (2, 9, 16):
-            g = random_ginibre(rng, dim)
-            a = g @ g.conj().T  # Hermitian PSD
-            root = positive_sqrt(a)
-            assert frob(root @ root - a) < 1e-10 * max(1.0, frob(a))
-
-    def test_clamps_tiny_negative(self):
-        a = np.diag([1.0, -1e-13])
-        root = positive_sqrt(a)
-        assert root[1, 1] == 0.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(np.linalg.LinAlgError, match="positive"):
-            positive_sqrt(np.diag([1.0, -0.5]))
-
-
 class TestPolarUnitaryFactor:
     """The unitary polar factor of A is P of ``pitaron(A)``."""
 
@@ -220,11 +160,11 @@ class TestLyapunovSolve:
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             lyapunov_solve(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            lyapunov_solve(np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             lyapunov_solve(np.eye(2), np.eye(3))
 
-
-def test_eigensystem_is_plain_data():
-    es = EigenSystem(values=np.array([1.0]), vectors=np.eye(1, dtype=complex))
-    assert es.values[0] == 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pitaron_lab.linalg import positive_sqrt
+from pitaron_lab.propagation import pitaron
 from pitaron_lab.picard import (
     error_bound,
     identity_sqrt_family,
@@ -134,7 +134,7 @@ class TestIdentitySqrtFamily:
             assert np.min(np.linalg.eigvals(m).real) < 0
 
     def test_positive_sqrt_of_identity_is_unique(self):
-        assert_allclose(positive_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
+        assert_allclose(pitaron(np.eye(2)).N, np.eye(2), atol=1e-14)
 
     def test_degenerate_b_requires_unit_a(self):
         with pytest.raises(ValueError, match="b = 0"):

@@ -23,7 +23,6 @@ from pitaron_lab.propagation import (
     liouville_rhs,
     lyapunov_n_rhs,
     markov_check,
-    normalization_operator,
     pitaron,
     step_propagator,
     z_factor,
@@ -86,20 +85,20 @@ class TestStepPropagator:
 class TestNormalizationOperator:
     def test_unitary_gives_identity(self, rng):
         w = random_unitary(rng, 6)
-        assert frob(normalization_operator(w) - np.eye(6)) < 1e-13
+        assert frob(pitaron(w).N - np.eye(6)) < 1e-13
 
     def test_diagonal_inverse_moduli(self):
-        n = normalization_operator(np.diag([2.0, 0.5]).astype(complex))
+        n = pitaron(np.diag([2.0, 0.5]).astype(complex)).N
         assert_allclose(n, np.diag([0.5, 2.0]), atol=1e-14)
 
     def test_commuting_nonhermitian_closed_form(self):
         u = mat_exp(-1j * NONHER_H)
-        n = normalization_operator(u)
+        n = pitaron(u).N
         assert frob(n - np.diag([np.exp(0.3), np.exp(-0.1)])) < 1e-12
 
     def test_rejects_ill_conditioned(self):
         with pytest.raises(np.linalg.LinAlgError, match="cond"):
-            normalization_operator(np.diag([1.0, 1e-14]))
+            pitaron(np.diag([1.0, 1e-14])).N
 
 
 class TestPitaron:
@@ -241,7 +240,7 @@ class TestEvolutionLaws:
         t = 1.0
         u = mat_exp(-1j * NONHER_H * t)
         du = -1j * NONHER_H @ u
-        n = normalization_operator(u)
+        n = pitaron(u).N
         assert frob(lyapunov_n_rhs(u, du, n) - general_n_rhs(split, n)) < 1e-10
 
     def test_lyapunov_rhs_matches_finite_differences_quadratically(self, rng):
@@ -249,7 +248,7 @@ class TestEvolutionLaws:
         t = 0.8
 
         def n_of(s):
-            return normalization_operator(mat_exp(-1j * m * s))
+            return pitaron(mat_exp(-1j * m * s)).N
 
         u = mat_exp(-1j * m * t)
         du = -1j * m @ u
@@ -284,7 +283,7 @@ class TestEvolutionLaws:
         t, h = 0.9, 1e-5
 
         def n_of(s):
-            return normalization_operator(mat_exp(-1j * m * s))
+            return pitaron(mat_exp(-1j * m * s)).N
 
         fd = (n_of(t + h) - n_of(t - h)) / (2 * h)
         gap = frob(general_n_rhs(split, n_of(t)) - fd)

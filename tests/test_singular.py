@@ -250,10 +250,6 @@ class TestDominatedConvergence:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-12
 
-    def test_window_too_small_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            dominated_convergence_demos([5], window=0.5)
-
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError, match="at least 1"):
             dominated_convergence_demos([0])
