@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -600,7 +600,9 @@ def _run_config(where: str, load: Callable[[], ExperimentConfig], out_dir) -> in
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building costs ~10x a parse."""
     parser = argparse.ArgumentParser(
         prog="pitaron-lab",
         description="unitarized time evolution experiments: JSON config in, CSV out",
@@ -612,8 +614,11 @@ def main(argv=None) -> int:
     demo_p = sub.add_parser("demo", help="run a builtin demo config")
     demo_p.add_argument("name", choices=sorted(DEMOS))
     demo_p.add_argument("--out", default=None, help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "demo":
         where = f"demo:{args.name}"
         return _run_config(where, partial(validate_config, DEMOS[args.name], where), args.out)

@@ -81,8 +81,8 @@ def unitarity_defect(a: np.ndarray) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger) / 2."""
-    return (a + a.conj().T) / 2
+    """(A + A^dagger) / 2, for one matrix or each of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def mat_exp(a) -> np.ndarray:
@@ -97,7 +97,8 @@ def mat_exp(a) -> np.ndarray:
     finite) and each degree group runs Horner on its sub-stack, so
     ``mat_exp(stack)[k]`` equals ``mat_exp(stack[k])`` bit for bit
     whatever else is in the stack.  Relative accuracy is ~1e-14 for
-    norms up to ~30.
+    norms up to ~30.  A squaring that overflows (or makes inf - inf)
+    raises ``FloatingPointError`` instead of returning inf or NaN.
     """
     a = _square_stack(a, "a square matrix or a stack of them")
     n = a.shape[-1]
@@ -111,18 +112,23 @@ def mat_exp(a) -> np.ndarray:
     for degree in set(degrees.tolist()):
         group = degrees == degree
         out[group] = _taylor_horner(scaled[group], degree)
-    for j in range(int(squarings.max(initial=0))):
-        group = squarings > j
-        out[group] = out[group] @ out[group]
+    with np.errstate(over="raise", invalid="raise"):
+        for j in range(int(squarings.max(initial=0))):
+            group = squarings > j
+            out[group] = out[group] @ out[group]
     return out.reshape(a.shape)
 
 
 def _taylor_horner(a: np.ndarray, degree: int) -> np.ndarray:
     """sum_{k <= degree} A^k / k! as I + A (I + A/2 (... (I + A/degree)))."""
     eye = np.eye(a.shape[-1])
-    p = a / degree + eye
+    # in place, so a step holds one product besides p: same bits, less memory
+    p = a / degree
+    p += eye
     for k in range(degree - 1, 0, -1):
-        p = (a @ p) / k + eye
+        p = a @ p
+        p /= k
+        p += eye
     return p
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pitaron_lab
 from pitaron_lab.cli import (
     DEMOS,
     ConfigError,
@@ -257,6 +263,37 @@ class TestMainEntryPoint:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not list(tmp_path.glob("big.*"))
+
+    # f1 = 1e100: H is well inside the float range, but the squarings of
+    # exp(-i H dt) overflow
+    OVERFLOWING_DRIVE = {
+        "kind": "evolve",
+        "output_path": "huge",
+        "params": {"model": "pauli", "f1": 1e100, "f2": 0.0, "f3": "cos",
+                   "t0": 0.0, "t1": 1.0, "grid_points": 3, "steps_per_cell": 2},
+    }
+
+    def test_overflowing_exponential_exits_three_without_a_warning(self, tmp_path, capsys):
+        path = write_config(tmp_path, "cfg.json", self.OVERFLOWING_DRIVE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("huge.*"))
+
+    def test_overflowing_exponential_exits_three_with_warnings_as_errors(self, tmp_path):
+        path = write_config(tmp_path, "cfg.json", self.OVERFLOWING_DRIVE)
+        src = str(Path(pitaron_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pitaron_lab.cli", "run", str(path),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "numerical failure" in done.stderr
+        assert not list(tmp_path.glob("huge.*"))
 
     def test_math_overflow_exits_three(self, tmp_path, capsys):
         # exp(g * x1) = exp(1000) in the a-priori bound raises OverflowError

@@ -104,6 +104,11 @@ class TestMatExpStack:
         with pytest.raises(ValueError, match="square"):
             mat_exp(np.zeros(3))
 
+    def test_overflowing_squarings_raise(self):
+        # ||A||_1 = 2e98: ~330 squarings, whose rounding errors grow past the float range
+        with pytest.raises(FloatingPointError):
+            mat_exp(np.stack([np.eye(2), -1e98j * SIGMA1]))
+
     def test_empty_stack(self):
         out = mat_exp(np.zeros((0, 3, 3)))
         assert out.shape == (0, 3, 3)

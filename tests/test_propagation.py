@@ -388,13 +388,19 @@ class TestMarkovCheck:
             markov_check(spec, 0.0, 1.0, 2.0, 8)
 
 
+def _assert_same_triple(a, b):
+    assert np.array_equal(a.U, b.U)
+    assert np.array_equal(a.N, b.N)
+    assert np.array_equal(a.P, b.P)
+    assert (a.defect_U, a.defect_P, a.cond_U) == (b.defect_U, b.defect_P, b.cond_U)
+
+
 def _assert_same_trajectory(a, b):
     assert np.array_equal(a.grid, b.grid)
     assert np.array_equal(a.z_factors, b.z_factors)
+    assert np.array_equal(a.n_distance, b.n_distance)
     for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
-        assert np.array_equal(sa.U, sb.U)
-        assert np.array_equal(sa.N, sb.N)
-        assert np.array_equal(sa.P, sb.P)
+        _assert_same_triple(sa, sb)
 
 
 class TestConstantSpecReuse:
@@ -447,7 +453,7 @@ def _kicked_nonhermitian_spec(rng):
 
 
 class TestStackedStepper:
-    """One stacked sample and one stacked exponential per cell, same product."""
+    """One stacked sample and one stacked exponential per trajectory, same product."""
 
     def test_trajectory_matches_reference_stepper(self, rng):
         spec = _kicked_nonhermitian_spec(rng)
@@ -483,12 +489,13 @@ class TestStackedStepper:
             "constant": lambda: HamiltonianSpec.constant(0.4 * random_ginibre(rng, 4)),
         }[make]()
         default = evolve_trajectory(spec, 0.0, 2.0, 5, 10)
-        monkeypatch.setattr(propagation, "_CHUNK", 3)
-        chunked = evolve_trajectory(spec, 0.0, 2.0, 5, 10)
-        for sa, sb in zip(default.snapshots, chunked.snapshots, strict=True):
-            assert np.array_equal(sa.U, sb.U)
+        matrix = 16 * spec.dim**2
+        # blocks of one matrix and of three, for the stepping and the SVDs both
+        for budget in (matrix, 3 * matrix):
+            monkeypatch.setattr(propagation, "_BLOCK_BYTES", budget)
+            _assert_same_trajectory(default, evolve_trajectory(spec, 0.0, 2.0, 5, 10))
 
-    def test_one_sample_and_one_exponential_per_cell(self, monkeypatch):
+    def test_one_sample_and_one_exponential_per_trajectory(self, monkeypatch):
         calls = {"mat_exp": 0, "sample_stack": 0}
 
         def counted(name, fn):
@@ -501,7 +508,44 @@ class TestStackedStepper:
         monkeypatch.setattr(HamiltonianSpec, "sample_stack",
                             counted("sample_stack", HamiltonianSpec.sample_stack))
         evolve_trajectory(pauli_hamiltonian(np.cos, np.sin, 0.3), 0.0, 2.0, 21, 100)
-        assert calls == {"mat_exp": 20, "sample_stack": 20}
+        assert calls == {"mat_exp": 1, "sample_stack": 1}
+
+    @pytest.mark.parametrize("make", ["pauli", "kicked", "comb", "chain"])
+    def test_every_snapshot_is_pitaron_of_its_stepped_cell(self, rng, make):
+        # grid over [0, 2] with 4 points: no kick sits on an interior grid time
+        spec = {
+            "pauli": lambda: pauli_hamiltonian(np.cos, np.sin, 0.3),
+            "kicked": lambda: _kicked_nonhermitian_spec(rng),  # unequal piece counts
+            "comb": lambda: dirac_comb_spec([0.6, -1.1, 0.8], [0.3, 0.45, 2.0], 2,
+                                            generator=SIGMA1),  # one empty cell
+            "chain": lambda: HamiltonianSpec.constant(nhse_hamiltonian(16, 0.0, 1.0, 0.3)),
+        }[make]()
+        traj = evolve_trajectory(spec, 0.0, 2.0, 4, 7)
+        g = traj.grid
+        for k in range(1, len(g)):
+            u = step_propagator(spec, g[k - 1], g[k], 7) @ traj.snapshots[k - 1].U
+            _assert_same_triple(traj.snapshots[k], pitaron(u))
+
+    @pytest.mark.parametrize("block", [None, 4], ids=["default", "four_matrix_blocks"])
+    def test_ill_conditioned_snapshot_mid_trajectory_raises_its_cond(self, monkeypatch,
+                                                                    block):
+        # U = diag(1, e^(10 t)): cond_U first exceeds 1e12 at the snapshot t = 3
+        spec = HamiltonianSpec.constant(np.diag([0.0, 10j]))
+        if block is not None:
+            monkeypatch.setattr(propagation, "_BLOCK_BYTES", block * 16 * 4)
+        u = np.eye(2, dtype=complex)
+        grid = np.linspace(0.0, 5.0, 11)
+        for a, b in zip(grid[:-1], grid[1:]):
+            u = step_propagator(spec, a, b, 3) @ u
+            try:
+                pitaron(u)
+            except np.linalg.LinAlgError as exc:
+                expected = str(exc)
+                break
+        assert b == 3.0 and expected.startswith("propagator too ill-conditioned")
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            evolve_trajectory(spec, 0.0, 5.0, 11, 3)
+        assert str(raised.value) == expected
 
     def test_empty_cells_of_a_pure_kick_spec_exponentiate_nothing(self, monkeypatch):
         calls = []
