@@ -7,7 +7,8 @@ complex128 numpy arrays, validated on entry.  ``mat_exp`` also takes a
 stack ``(..., n, n)`` and exponentiates it in one call, each matrix
 exactly as it would be on its own.  The positive root N = (U U^dagger)^(-1/2)
 is not built here: ``propagation.pitaron`` forms it from one singular
-value decomposition.  Target dimensions are desk scale (dim <= 64);
+value decomposition.  ``simpson_grid`` builds every composite Simpson
+grid of the package.  Target dimensions are desk scale (dim <= 64);
 storage is always dense.
 """
 
@@ -83,6 +84,25 @@ def unitarity_defect(a: np.ndarray) -> float:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """(A + A^dagger) / 2, for one matrix or each of a stack."""
     return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def simpson_grid(a: float, b, panels: int):
+    """Composite Simpson grid on [a, b] as ``(nodes, pattern, h)``.
+
+    ``b`` is a scalar upper limit or an array of them.  The nodes are
+    ``linspace(a, b, 2 panels + 1)`` along a new last axis and the step
+    ``h = (b - a) / (2 panels)`` is shaped like ``b``.  The weights are
+    ``pattern * h / 3`` with pattern ``1 4 2 ... 2 4 1``; each caller
+    scales the pattern itself, in the order that fixes the bits of its sums.
+    """
+    if panels < 1:
+        raise ValueError(f"panels must be at least 1, got {panels}")
+    # the last axis; 0 for a scalar limit, which spares linspace a moveaxis
+    nodes = np.linspace(a, b, 2 * panels + 1, axis=np.ndim(b))
+    pattern = np.full(2 * panels + 1, 2.0)
+    pattern[1::2] = 4.0
+    pattern[0] = pattern[-1] = 1.0
+    return nodes, pattern, (b - a) / (2 * panels)
 
 
 def mat_exp(a) -> np.ndarray:

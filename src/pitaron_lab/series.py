@@ -3,7 +3,8 @@
 All integrals are iterated ("solve by substitution") rather than
 rectangle-form double integrals: term k is the nested integral over
 t0 < t_k < ... < t_1 < t, evaluated by composite Simpson at every level
-with the inner upper limit re-gridded to the outer variable.  That form
+(grids from ``linalg.simpson_grid``) with the inner upper limit
+re-gridded to the outer variable.  That form
 is the construction under study here, so it is never replaced by the
 productive (Fubini-swapped) form even where the two agree analytically.
 The nested rule is evaluated as a tree of those re-gridded nodes, one
@@ -25,6 +26,9 @@ Kicked specs are rejected throughout: with delta kicks the integrands
 contain products of distributions whose value is indefinite, and the
 quadrature must not silently pick one.  The singular_dynamics module
 handles those expansions in closed form.
+
+``log_log_slope`` is the one fit of truncation errors against interval
+lengths: ``convergence_order`` and the CLI's dyson runner both use it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec
-from .linalg import frob
+from .linalg import frob, simpson_grid
 
 MAX_ORDER = 4  # nested quadrature cost grows as panels**order
 _TREE_BYTES = 1 << 22  # samples of the Dyson node tree held at once
@@ -47,7 +51,6 @@ __all__ = [
     "general_norm_expansion",
     "general_pitaron_expansion",
     "convergence_order",
-    "absolute_convergence_surrogate",
 ]
 
 
@@ -58,7 +61,6 @@ class SeriesExpansion:
     order: int
     terms: tuple[np.ndarray, ...]
     partial_sums: tuple[np.ndarray, ...]
-    term_norms: tuple[float, ...]
 
 
 def _assemble(terms: list[np.ndarray]) -> SeriesExpansion:
@@ -71,43 +73,7 @@ def _assemble(terms: list[np.ndarray]) -> SeriesExpansion:
         order=len(terms) - 1,
         terms=tuple(terms),
         partial_sums=tuple(sums),
-        term_norms=tuple(frob(t) for t in terms),
     )
-
-
-def _simpson_grid(a: float, b: float | np.ndarray, panels: int):
-    """Composite Simpson nodes and weights on [a, b] for every upper limit of ``b``.
-
-    Shapes are ``(*b.shape, 2 panels + 1)``; each row holds the nodes
-    ``linspace(a, b, 2 panels + 1)`` of its own upper limit.
-    """
-    if panels < 1:
-        raise ValueError(f"panels must be at least 1, got {panels}")
-    b = np.asarray(b, dtype=float)
-    nodes = np.linspace(a, b, 2 * panels + 1, axis=-1)
-    h = (b - a) / (2 * panels)
-    weights = np.full(2 * panels + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return nodes, weights * (h / 3.0)[..., None]
-
-
-def _level_blocks(spec: HamiltonianSpec, t0: float, uppers: np.ndarray, panels: int,
-                  depth: int):
-    """The Simpson grids under ``uppers`` in blocks of columns, with H sampled per block.
-
-    Yields ``(start, nodes, weights, h)`` for the columns from ``start``
-    on.  A block holds as many columns as keep the samples of the
-    ``depth`` levels from here down within ``_TREE_BYTES``, so there is
-    one block unless the tree is larger than that.
-    """
-    nodes, weights = _simpson_grid(t0, uppers, panels)
-    n = nodes.shape[-1]
-    below = (n - 1) ** (depth - 1) * (16 * spec.dim**2 + 8)  # sample and time bytes per node
-    width = max(1, _TREE_BYTES // (uppers.size * below))
-    for start in range(0, n, width):
-        cols = slice(start, start + width)
-        yield start, nodes[:, cols], weights[:, cols], spec.sample_stack(nodes[:, cols])
 
 
 def _reject_kicks(spec: HamiltonianSpec, what: str) -> None:
@@ -132,20 +98,30 @@ def _tree(spec: HamiltonianSpec, t0: float, uppers: np.ndarray, depth: int,
     come from one recursive call on all of those nodes; node 0 is t0,
     where every inner integral is zero, so it is sampled but adds
     nothing.  Each entry sums its nodes in order, as the scalar recursion
-    does, so it has that recursion's bits.
+    does, so it has that recursion's bits.  The grids are walked in blocks
+    of columns that keep the samples of the levels from here down within
+    ``_TREE_BYTES``.
     """
+    grid, pattern, step = simpson_grid(t0, uppers, panels)
+    weights = pattern * (step / 3.0)[..., None]
+    n = grid.shape[-1]
+    below = (n - 1) ** (depth - 1) * (16 * spec.dim**2 + 8)  # sample and time bytes per node
+    width = max(1, _TREE_BYTES // (uppers.size * below))
     total = np.zeros((uppers.size, spec.dim, spec.dim), dtype=np.complex128)
     lower: list[np.ndarray] = []
     inner = None
-    for start, nodes, weights, h in _level_blocks(spec, t0, uppers, panels, depth):
+    for start in range(0, n, width):
+        cols = slice(start, start + width)
+        nodes, w = grid[:, cols], weights[:, cols]
+        h = spec.sample_stack(nodes)
         if depth > 1:
             skip = 1 if start == 0 else 0
-            nodes, weights = nodes[:, skip:], weights[:, skip:]
+            nodes, w = nodes[:, skip:], w[:, skip:]
             if nodes.size == 0:
                 continue
             inner, lower = _tree(spec, t0, nodes.ravel(), depth - 1, panels)
             h = h[:, skip:] @ inner.reshape(*nodes.shape, spec.dim, spec.dim)
-        terms = weights[..., None, None] * h
+        terms = w[..., None, None] * h
         terms[:, 0] += total  # the running sum over the nodes, carried across blocks
         total = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
     if inner is not None:  # the last node of the last grid is uppers[-1]
@@ -281,12 +257,25 @@ def general_pitaron_expansion(spec: HamiltonianSpec, t0: float, t: float,
     return _assemble(terms)
 
 
+def log_log_slope(lengths, errors) -> float | None:
+    """Least-squares slope of log ``errors`` against log ``lengths``.
+
+    None for a degenerate fit: fewer than two distinct lengths, every
+    error below 1e-13, or an error of zero, whose log is -inf.
+    """
+    if len(set(lengths)) < 2 or max(errors) < 1e-13 or min(errors) == 0.0:
+        return None
+    slope, _ = np.polyfit(np.log(lengths), np.log(errors), 1)
+    return float(slope)
+
+
 def convergence_order(spec: HamiltonianSpec, t0: float, exact, order: int,
                       T_list, panels: int = 64) -> float:
     """Least-squares slope of log truncation error against log interval.
 
     ``exact`` maps an interval length T to the reference propagator.  For
-    a series truncated after ``order`` the slope should be order + 1.
+    a series truncated after ``order`` the slope should be order + 1; a
+    degenerate fit (see ``log_log_slope``) raises ``RuntimeError``.
     """
     T = np.asarray(sorted(float(x) for x in T_list))
     if len(T) < 2 or T[0] <= 0:
@@ -297,27 +286,9 @@ def convergence_order(spec: HamiltonianSpec, t0: float, exact, order: int,
     for length in T:
         partial = dyson_u(spec, t0, t0 + length, order, panels).partial_sums[-1]
         errors.append(frob(partial - np.asarray(exact(length))))
-    errors = np.asarray(errors)
-    if np.max(errors) < 1e-13:
+    slope = log_log_slope(T, errors)
+    if slope is None:
         raise RuntimeError(
             "degenerate fit: truncation errors vanish on the whole grid"
         )
-    slope, _ = np.polyfit(np.log(T), np.log(errors), 1)
-    return float(slope)
-
-
-def absolute_convergence_surrogate(spec: HamiltonianSpec, t0: float, t: float,
-                                   panels: int = 64) -> float:
-    """Nested integral of ||H(t') H(t'')||_F over the ordered triangle.
-
-    A matrix-norm stand-in for the state-wise absolute convergence
-    condition of the second-order term; finite for every bounded sampled
-    spec, reported rather than asserted.
-    """
-    _reject_kicks(spec, "absolute_convergence_surrogate")
-    total = 0.0
-    for _, xs, wx, hx in _level_blocks(spec, t0, np.array([t], dtype=float), panels, 2):
-        for _, _, wy, hy in _level_blocks(spec, t0, xs[0], panels, 1):
-            norms = np.linalg.norm(hx[0, :, None] @ hy, axis=(-2, -1))
-            total += float(np.sum(wx[0, :, None] * wy * norms))
-    return total
+    return slope

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import simpson_grid
+
 __all__ = [
     "StepFunction",
     "SmearedDelta",
@@ -135,11 +137,8 @@ class SmearedDelta:
 def _simpson_scalar(f, a: float, b: float, panels: int) -> float:
     if b <= a:
         return 0.0
-    x = np.linspace(a, b, 2 * panels + 1)
-    w = np.full(x.size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return float(np.sum(w * f(x)) * (b - a) / (2 * panels) / 3.0)
+    x, pattern, h = simpson_grid(a, b, panels)
+    return float(np.sum(pattern * f(x)) * h / 3.0)
 
 
 def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -278,8 +277,7 @@ def smeared_second_order(eps1: float, eps2: float, kind: str, t1: float,
     before = 0.0  # inner mass of the earlier segments
     total = 0.0
     for a, b in segments:
-        x = np.linspace(a, b, 2 * panels + 1)
-        step = (b - a) / (2 * panels)
+        x, _, step = simpson_grid(a, b, panels)
         cdf = before + _cumulative_simpson(inner.density(x), step)
         total += _cumulative_simpson(outer.density(x) * cdf, step)[-1]
         before = cdf[-1]

@@ -17,6 +17,9 @@ from pitaron_lab.cli import (
     run_experiment,
     validate_config,
 )
+from pitaron_lab.hamiltonian import SIGMA1, HamiltonianSpec
+from pitaron_lab.linalg import mat_exp
+from pitaron_lab.series import convergence_order
 
 
 def write_config(tmp_path, name, payload):
@@ -146,6 +149,20 @@ class TestRunExperiment:
         assert len(rows) == 8
         assert summary["results"]["slope_order_1"] == pytest.approx(2.0, abs=0.2)
         assert summary["results"]["slope_order_2"] == pytest.approx(3.0, abs=0.3)
+
+    def test_dyson_slopes_are_the_library_fit(self, tmp_path):
+        T_list = [0.04, 0.1, 0.2, 0.4]
+        cfg = validate_config({
+            "kind": "dyson",
+            "output_path": "dyson_run",
+            "params": {"T_list": T_list, "orders": [1, 2], "panels": 16},
+        })
+        results = run_experiment(cfg, tmp_path)["results"]
+        spec = HamiltonianSpec.constant(SIGMA1)
+        exact = lambda T: mat_exp(-1j * T * SIGMA1)
+        for order in (1, 2):
+            assert results[f"slope_order_{order}"] == convergence_order(spec, 0.0, exact, order,
+                                                                        T_list, panels=16)
 
     def test_picard_exponential(self, tmp_path):
         for g in (1.0, -2.0, 5.0):
@@ -353,6 +370,15 @@ class TestMainEntryPoint:
         assert "above the cap of 10000000" in capsys.readouterr().err
         assert not list(tmp_path.glob("dyson_run*"))
 
+    def test_dyson_node_cap_counts_every_length(self, tmp_path, capsys):
+        # 37^4 nodes per length is under the cap, 11 lengths of them are not
+        config = json.loads(json.dumps(DYSON_CONFIG))
+        config["params"].update(T_list=[0.05 * k for k in range(1, 12)], orders=[4], panels=18)
+        path = write_config(tmp_path, "dyson_cap.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "above the cap of 10000000" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dyson_run*"))
+
     def test_jobs_fan_out(self, tmp_path, capsys):
         p1 = write_config(tmp_path, "one.json", PAULI_CONFIG)
         p2 = write_config(tmp_path, "two.json", COMB_CONFIG)
@@ -392,11 +418,13 @@ class TestMainEntryPoint:
         (PAULI_CONFIG, "params", "t1", 10**400),
         (DYSON_CONFIG, "params", "orders", []),
         (DYSON_CONFIG, "params", "T_list", []),
+        (DYSON_CONFIG, "params", "T_list", [0.0, 0.2]),
+        (DYSON_CONFIG, "params", "T_list", [-0.1, 0.2]),
         (PAULI_CONFIG, None, "output_path", "../escaped/x"),
         (PAULI_CONFIG, None, "output_path", "a/../../x"),
         (PAULI_CONFIG, None, "output_path", "ABSOLUTE"),
-    ], ids=["psi0-object", "f1-list", "t1-huge-int", "orders-empty", "T_list-empty", "output-dotdot",
-            "output-inner-dotdot", "output-absolute"])
+    ], ids=["psi0-object", "f1-list", "t1-huge-int", "orders-empty", "T_list-empty", "T_list-zero",
+            "T_list-negative", "output-dotdot", "output-inner-dotdot", "output-absolute"])
     def test_schema_escape_exits_two_and_writes_nothing(self, tmp_path, capsys,
                                                        base, section, key, value):
         raw = json.loads(json.dumps(base))

@@ -7,6 +7,7 @@ from pitaron_lab.linalg import (
     frob,
     lyapunov_solve,
     mat_exp,
+    simpson_grid,
     unitarity_defect,
 )
 from pitaron_lab.propagation import pitaron
@@ -28,6 +29,40 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((0, 0)))
+
+
+class TestSimpsonGrid:
+    @staticmethod
+    def _integrate(f, a, b, panels):
+        nodes, pattern, h = simpson_grid(a, b, panels)
+        return np.sum(pattern * f(nodes), axis=-1) * h / 3.0
+
+    def test_exact_for_cubics_with_a_scalar_limit(self):
+        cubic = lambda x: 2.0 * x**3 - x**2 + 3.0 * x - 0.5
+        antiderivative = lambda x: 0.5 * x**4 - x**3 / 3.0 + 1.5 * x**2 - 0.5 * x
+        value = self._integrate(cubic, -0.3, 1.7, 3)
+        assert np.ndim(value) == 0
+        assert value == pytest.approx(antiderivative(1.7) - antiderivative(-0.3), rel=1e-14)
+
+    def test_exact_for_cubics_with_a_stack_of_limits(self):
+        cubic = lambda x: x**3 - 4.0 * x + 1.0
+        antiderivative = lambda x: 0.25 * x**4 - 2.0 * x**2 + x
+        uppers = np.array([[0.4, 1.0], [2.5, -1.2]])
+        values = self._integrate(cubic, 0.2, uppers, 2)
+        assert values.shape == uppers.shape
+        assert_allclose(values, antiderivative(uppers) - antiderivative(0.2), rtol=1e-13)
+
+    def test_each_row_is_its_own_linspace(self):
+        uppers = np.array([0.3, 1.1, 2.9, -0.7])
+        nodes, pattern, h = simpson_grid(0.1, uppers, 5)
+        assert nodes.shape == (4, 11) and h.shape == (4,)
+        for row, b in zip(nodes, uppers):
+            assert np.array_equal(row, np.linspace(0.1, b, 11))
+        assert pattern.tolist() == [1, 4, 2, 4, 2, 4, 2, 4, 2, 4, 1]
+
+    def test_rejects_fewer_than_one_panel(self):
+        with pytest.raises(ValueError, match="panels"):
+            simpson_grid(0.0, 1.0, 0)
 
 
 class TestMatExp:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,12 +8,12 @@ import pitaron_lab.series as series
 from pitaron_lab.hamiltonian import SIGMA1, SIGMA3, HamiltonianSpec, dirac_comb_spec, pauli_hamiltonian
 from pitaron_lab.linalg import frob, mat_exp, unitarity_defect
 from pitaron_lab.series import (
-    absolute_convergence_surrogate,
     convergence_order,
     dyson_u,
     dyson_u_inverse,
     general_norm_expansion,
     general_pitaron_expansion,
+    log_log_slope,
 )
 
 from oracles import nested_simpson, random_ginibre, triangle_commutator_quadrature
@@ -51,14 +53,16 @@ class TestDysonU:
         spec = HamiltonianSpec(dim=2, smooth=None)
         exp = dyson_u(spec, 0.0, 1.0, 3, 8)
         assert_allclose(exp.partial_sums[-1], np.eye(2), atol=1e-15)
-        assert all(n == 0.0 for n in exp.term_norms[1:])
+        assert all(frob(t) == 0.0 for t in exp.terms[1:])
 
     def test_structure_invariants(self):
         exp = dyson_u(scalar_spec(0.3), 0.0, 1.0, 4, 4)
         assert exp.order == 4
         assert len(exp.terms) == 5
         assert_allclose(exp.terms[0], np.eye(1))
-        assert len(exp.partial_sums) == len(exp.terms) == len(exp.term_norms)
+        assert len(exp.partial_sums) == len(exp.terms)
+        assert [frob(t) for t in exp.terms] == pytest.approx([0.3**k / math.factorial(k) for k in range(5)],
+                                                             rel=1e-12)
 
     def test_rejects_kicked_spec(self):
         spec = dirac_comb_spec([1.0], [0.5], dim=1)
@@ -329,10 +333,15 @@ class TestConvergenceOrder:
             convergence_order(spec, 0.0, lambda T: np.eye(2), 1, [0.1, 0.2])
 
 
-def test_absolute_convergence_surrogate_closed_form():
-    # constant H: integral of ||H @ H||_F over the triangle is ||H^2|| T^2/2
-    h = 0.7 * SIGMA1 + 0.2 * SIGMA3
-    spec = constant_spec(h)
-    value = absolute_convergence_surrogate(spec, 0.0, 2.0, 32)
-    assert value == pytest.approx(frob(h @ h) * 2.0, rel=1e-10)
-    assert np.isfinite(value)
+class TestLogLogSlope:
+    @pytest.mark.parametrize("lengths, errors", [
+        ([0.1, 0.1, 0.1], [1e-3, 2e-3, 3e-3]),  # one distinct length
+        ([0.05, 0.1, 0.5], [0.0, 5e-14, 9.9e-14]),  # every error below 1e-13
+        ([1e-300, 0.4], [0.0, 0.1]),  # a zero error has no log
+    ], ids=["one-length", "tiny-errors", "zero-error"])
+    def test_degenerate_fit_is_none(self, lengths, errors):
+        assert log_log_slope(lengths, errors) is None
+
+    def test_threshold_edge_fits(self):
+        # an error of exactly 1e-13 is not below the threshold, so the fit is made
+        assert log_log_slope([0.1, 1.0], [1e-14, 1e-13]) == pytest.approx(1.0, abs=1e-12)
