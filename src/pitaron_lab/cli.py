@@ -11,10 +11,14 @@ relative path without ``..``, so outputs stay under ``--out``; lists that
 make CSV rows (``T_list``, ``orders``, ``pairs``, ``n_list``) must be
 non-empty.  Checks that join two keys (``psi0`` against the dimension, a
 ``hop`` list against ``l``, a kick at ``t0``) stay in the library, which
-raises ``ValueError``.  A dyson config whose nested quadratures, one per
-length, would exceed ``DYSON_MAX_NODES`` nodes in all is a config error.
-The pipeline is deterministic for a given config, so re-running
-byte-reproduces the CSV.
+raises ``ValueError``.  The work caps join keys too, and belong to the
+schema: a kind's ``limit`` checks the coerced values as a whole.  A dyson
+config whose nested quadratures, one per length, would exceed
+``DYSON_MAX_NODES`` nodes in all is a config error, and so is a
+trajectory (evolve, nhse, comb) of more than ``TRAJECTORY_MAX_PIECES``
+pieces or ``SNAPSHOT_MAX_ENTRIES`` snapshot entries; no matrix or state
+is larger than ``MAX_DIM``.  The pipeline is deterministic for a given
+config, so re-running byte-reproduces the CSV.
 
 Exit codes: 0 success (warnings go to the summary), 2 config error: a
 config that cannot be read, parsed or validated, parameters the library
@@ -125,6 +129,19 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # ~0.6 s on the runner's constant spec (shared 2-vCPU host); each pass
 # stays within series._TREE_BYTES.
 DYSON_MAX_NODES = 10**7
+# The largest matrix or state of any config: nhse l, comb dim, a constant matrix, psi0.
+MAX_DIM = 64
+# grid_points x steps_per_cell of a trajectory.  At the cap, one cell of
+# 2*10^4 pieces takes 1.6 s and +5 MiB resident memory at dim 64 (nhse
+# l=64, each piece a 64x64 product) and 0.14 s at dim 2 (Pauli drive);
+# 2*10^4 one-piece Pauli cells take 0.43 s and +15 MiB, of which the
+# trajectory's traced peak is 10 MiB and the CSV rows 6 MiB (runner calls,
+# shared 2-vCPU host).
+TRAJECTORY_MAX_PIECES = 2 * 10**4
+# grid_points x dim^2, the entries of each of the U, N and P stacks
+# (16 bytes each): at the cap, 128 snapshots of an l=64 chain take 0.55 s
+# and +29 MiB resident memory, most of it those stacks.
+SNAPSHOT_MAX_ENTRIES = 2**19
 
 
 def _number_or_list(value, where: str):
@@ -154,6 +171,8 @@ def _complex_array(value, where: str, ndim: int, expected: str) -> np.ndarray:
     # ndim axes of [re, im] pairs; the last test makes a matrix (ndim 2) square
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[ndim - 1]:
         _fail(f"{where} must be {expected}")
+    if arr.shape[0] > MAX_DIM:
+        _fail(f"{where} has dimension {arr.shape[0]}, above the cap of {MAX_DIM}")
     for x in arr.flat:
         _number(x, where)
     arr = arr.astype(float)
@@ -208,19 +227,12 @@ def _trajectory(spec: ham.HamiltonianSpec, cfg: ExperimentConfig) -> prop.Trajec
 
 
 def _trajectory_rows(traj: prop.Trajectory, n_trunc=None):
-    rows = []
-    for i, snap in enumerate(traj.snapshots):
-        row = {
-            "t": traj.grid[i],
-            "defect_U": snap.defect_U,
-            "defect_P": snap.defect_P,
-            "n_distance": traj.n_distance[i],
-            "z_factor": traj.z_factors[i],
-        }
-        if n_trunc is not None:
-            row["n_trunc"] = n_trunc(traj.grid[i])
-        rows.append(row)
-    return rows
+    """One row per snapshot, read from the trajectory's columns and ``n_trunc``, if given."""
+    columns = {"t": traj.grid, "defect_U": traj.defect_U, "defect_P": traj.defect_P,
+               "n_distance": traj.n_distance, "z_factor": traj.z_factors}
+    if n_trunc is not None:
+        columns["n_trunc"] = n_trunc
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def _run_evolve(cfg: ExperimentConfig):
@@ -241,9 +253,9 @@ def _run_evolve(cfg: ExperimentConfig):
     scalars = {
         "max_n_distance": float(traj.n_distance.max()),
         "max_abs_z_minus_1": float(np.abs(traj.z_factors - 1.0).max()),
-        "final_defect_U": traj.snapshots[-1].defect_U,
-        "final_defect_P": traj.snapshots[-1].defect_P,
-        "max_cond_U": max(s.cond_U for s in traj.snapshots),
+        "final_defect_U": float(traj.defect_U[-1]),
+        "final_defect_P": float(traj.defect_P[-1]),
+        "max_cond_U": float(traj.cond_U.max()),
     }
     return _trajectory_rows(traj), scalars, warnings
 
@@ -262,8 +274,8 @@ def _run_nhse(cfg: ExperimentConfig):
     scalars = {
         "hermiticity_defect": hermiticity_defect(h),
         "split_commutator_norm": split.commutator_norm,
-        "final_defect_U": traj.snapshots[-1].defect_U,
-        "final_defect_P": traj.snapshots[-1].defect_P,
+        "final_defect_U": float(traj.defect_U[-1]),
+        "final_defect_P": float(traj.defect_P[-1]),
         "final_z_factor": float(traj.z_factors[-1]),
         "max_n_distance": float(traj.n_distance.max()),
     }
@@ -285,20 +297,15 @@ def _run_comb(cfg: ExperimentConfig):
         "indefinite_flags": len(report.indefinite),
         "pitaron_expansion_re": pit_re,
         "pitaron_expansion_im": pit_im,
-        "final_defect_P": traj.snapshots[-1].defect_P,
+        "final_defect_P": float(traj.defect_P[-1]),
     }
-    rows = _trajectory_rows(traj, n_trunc=lambda t: sing.comb_truncated_norm(strengths, times, t))
+    rows = _trajectory_rows(traj, n_trunc=sing.comb_truncated_norm(strengths, times, traj.grid))
     return rows, scalars, warnings
 
 
 def _run_dyson(cfg: ExperimentConfig):
     v = cfg.values
     T_list, orders, panels = v["T_list"], v["orders"], v["panels"]
-    depth = max(2, *orders)  # the Pitaron expansion is a depth-2 pass of its own
-    nodes = len(T_list) * (2 * panels + 1) ** depth
-    if nodes > DYSON_MAX_NODES:
-        _fail(f"dyson makes {len(T_list)} nested quadratures of (2 panels + 1)^{depth} "
-              f"nodes at panels {panels}, above the cap of {DYSON_MAX_NODES} in all")
     spec = ham.HamiltonianSpec.constant(ham.SIGMA1)
     rows = []
     for T in T_list:
@@ -419,26 +426,53 @@ class _Kind(NamedTuple):
     run: Callable
     schemas: dict  # variant -> {key: field type}; a kind without variants has only None
     selector: str | None = None  # the params key that names the variant
+    limit: Callable | None = None  # (values, where): the work caps, on the coerced values
 
 
 _TRAJECTORY = {"t0": _number, "t1": _number, "grid_points": _COUNT, "steps_per_cell": _COUNT}
+_DIM = _integer(1, MAX_DIM)
+
+
+def _trajectory_limit(dim: Callable[[dict], int]):
+    """The caps of a trajectory whose matrices have dimension ``dim(values)``."""
+    def check(v: dict, where: str) -> None:
+        pieces = v["grid_points"] * v["steps_per_cell"]
+        if pieces > TRAJECTORY_MAX_PIECES:
+            _fail(f"{where}: grid_points x steps_per_cell = {pieces} pieces, "
+                  f"above the cap of {TRAJECTORY_MAX_PIECES}")
+        entries = v["grid_points"] * dim(v) ** 2
+        if entries > SNAPSHOT_MAX_ENTRIES:
+            _fail(f"{where}: grid_points x dim^2 = {entries} snapshot entries, "
+                  f"above the cap of {SNAPSHOT_MAX_ENTRIES}")
+    return check
+
+
+def _dyson_limit(v: dict, where: str) -> None:
+    depth = max(2, *v["orders"])  # the Pitaron expansion is a depth-2 pass of its own
+    nodes = len(v["T_list"]) * (2 * v["panels"] + 1) ** depth
+    if nodes > DYSON_MAX_NODES:
+        _fail(f"{where}: dyson makes {len(v['T_list'])} nested quadratures of "
+              f"(2 panels + 1)^{depth} nodes at panels {v['panels']}, above the cap of "
+              f"{DYSON_MAX_NODES} in all")
+
 
 KINDS = {
     "evolve": _Kind(_run_evolve, {
         "pauli": {"f1": _profile, "f2": _profile, "f3": _profile, **_TRAJECTORY, "psi0": _psi0},
         "constant": {"matrix": _matrix, **_TRAJECTORY, "psi0": _psi0},
-    }, selector="model"),
+    }, selector="model", limit=_trajectory_limit(
+        lambda v: len(v["matrix"]) if v["model"] == "constant" else 2)),
     "nhse": _Kind(_run_nhse, {None: {
-        "l": _COUNT, "onsite": _number, "hop": _number_or_list, "gamma": _number_or_list,
+        "l": _DIM, "onsite": _number, "hop": _number_or_list, "gamma": _number_or_list,
         **_TRAJECTORY, "psi0": _psi0,
-    }}),
+    }}, limit=_trajectory_limit(lambda v: v["l"])),
     "comb": _Kind(_run_comb, {None: {
-        "strengths": _list_of(_number, 0), "times": _list_of(_number, 0), "dim": _COUNT,
+        "strengths": _list_of(_number, 0), "times": _list_of(_number, 0), "dim": _DIM,
         **_TRAJECTORY,
-    }}),
+    }}, limit=_trajectory_limit(lambda v: v["dim"])),
     "dyson": _Kind(_run_dyson, {None: {
         "T_list": _list_of(_positive), "orders": _list_of(_integer(0, series.MAX_ORDER)), "panels": _COUNT,
-    }}),
+    }}, limit=_dyson_limit),
     "picard": _Kind(_run_picard, {
         "exponential": {"g": _number, "x1": _number, "n_max": _COUNT, "grid": _COUNT},
         "delta_breakdown": {"a": _number, "epsilon": _number, "x1": _number, "grid": _COUNT},
@@ -488,10 +522,11 @@ def validate_config(raw, where: str = "config") -> ExperimentConfig:
         select = _choice(*kind.schemas)
         variant = select(top["params"].get(kind.selector), f"{where}.params.{kind.selector}")
         fields = {kind.selector: select, **kind.schemas[variant]}
-    return ExperimentConfig(
-        kind=top["kind"], params=top["params"], output_path=top["output_path"],
-        seed=top["seed"], values=_check(top["params"], fields, f"{where}.params"),
-    )
+    values = _check(top["params"], fields, f"{where}.params")
+    if kind.limit:
+        kind.limit(values, f"{where}.params")
+    return ExperimentConfig(kind=top["kind"], params=top["params"],
+                            output_path=top["output_path"], seed=top["seed"], values=values)
 
 
 # ---------------------------------------------------------------------------

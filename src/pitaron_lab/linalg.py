@@ -4,12 +4,13 @@ Everything downstream (propagators, normalization operators, expansions)
 compiles down to the primitives in this module: the matrix exponential,
 Frobenius-norm defects and the Lyapunov solve.  All matrices are square
 complex128 numpy arrays, validated on entry.  ``mat_exp`` also takes a
-stack ``(..., n, n)`` and exponentiates it in one call, each matrix
-exactly as it would be on its own.  The positive root N = (U U^dagger)^(-1/2)
-is not built here: ``propagation.pitaron`` forms it from one singular
-value decomposition.  ``simpson_grid`` builds every composite Simpson
-grid of the package.  Target dimensions are desk scale (dim <= 64);
-storage is always dense.
+stack ``(..., n, n)`` and exponentiates it in one call, and ``frob_stack``
+reduces one, each matrix exactly as it would be on its own.  The
+positive root N = (U U^dagger)^(-1/2) is not built here:
+``propagation.pitaron`` forms it from one singular value decomposition.
+``simpson_grid`` builds every composite Simpson grid of the package and
+``simpson_pattern`` the weight pattern of the callers that scale it.
+Target dimensions are desk scale (dim <= 64); storage is always dense.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ __all__ = [
     "PD_CLAMP_TOL",
     "COND_THRESHOLD",
     "as_matrix",
+    "as_stack",
     "frob",
+    "frob_stack",
     "hermiticity_defect",
     "unitarity_defect",
     "mat_exp",
@@ -65,9 +68,33 @@ def as_matrix(a) -> np.ndarray:
     return _square_stack(m, "a square matrix")
 
 
+def as_stack(a) -> np.ndarray:
+    """Coerce to a square complex matrix, or a stack of them, with finite entries."""
+    return _square_stack(a, "a square matrix or a stack of them")
+
+
 def frob(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
+
+
+def frob_stack(a) -> np.ndarray:
+    """Frobenius norm of each matrix of the stack ``a`` of shape ``(..., m, n)``.
+
+    Each matrix is reduced as ``frob`` reduces it alone: its entries in
+    memory order, summed as two BLAS dot products over the real and the
+    imaginary parts (one for a real stack), so entry k has the bits of
+    ``frob(a[k])``, strided and transposed views included.  A stacked
+    ``np.linalg.norm(axis=(-2, -1))`` sums in another order.  A stack of
+    vectors is reduced as ``frob_stack(v[..., None])``.
+    """
+    a = np.asarray(a)
+    if abs(a.strides[-1]) > abs(a.strides[-2]):
+        a = a.swapaxes(-1, -2)  # frob ravels each matrix in memory order
+    flat = a.reshape(*a.shape[:-2], -1)
+    if np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -81,28 +108,35 @@ def unitarity_defect(a: np.ndarray) -> float:
     return frob(a.conj().T @ a - np.eye(a.shape[0]))
 
 
-def hermitize(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger) / 2, for one matrix or each of a stack."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+def hermitize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(A + A^dagger) / 2, for one matrix or each of a stack, into ``out`` if given."""
+    out = np.add(a, a.conj().swapaxes(-1, -2), out=out)
+    out /= 2
+    return out
 
 
 def simpson_grid(a: float, b, panels: int):
-    """Composite Simpson grid on [a, b] as ``(nodes, pattern, h)``.
+    """Composite Simpson grid on [a, b] as ``(nodes, h)``.
 
     ``b`` is a scalar upper limit or an array of them.  The nodes are
     ``linspace(a, b, 2 panels + 1)`` along a new last axis and the step
     ``h = (b - a) / (2 panels)`` is shaped like ``b``.  The weights are
-    ``pattern * h / 3`` with pattern ``1 4 2 ... 2 4 1``; each caller
+    ``simpson_pattern(panels) * h / 3``; each caller that needs them
     scales the pattern itself, in the order that fixes the bits of its sums.
     """
     if panels < 1:
         raise ValueError(f"panels must be at least 1, got {panels}")
     # the last axis; 0 for a scalar limit, which spares linspace a moveaxis
     nodes = np.linspace(a, b, 2 * panels + 1, axis=np.ndim(b))
+    return nodes, (b - a) / (2 * panels)
+
+
+def simpson_pattern(panels: int) -> np.ndarray:
+    """The composite Simpson pattern ``1 4 2 4 ... 2 4 1`` of ``2 panels + 1`` nodes."""
     pattern = np.full(2 * panels + 1, 2.0)
     pattern[1::2] = 4.0
     pattern[0] = pattern[-1] = 1.0
-    return nodes, pattern, (b - a) / (2 * panels)
+    return pattern
 
 
 def mat_exp(a) -> np.ndarray:
@@ -120,7 +154,7 @@ def mat_exp(a) -> np.ndarray:
     norms up to ~30.  A squaring that overflows (or makes inf - inf)
     raises ``FloatingPointError`` instead of returning inf or NaN.
     """
-    a = _square_stack(a, "a square matrix or a stack of them")
+    a = as_stack(a)
     n = a.shape[-1]
     stack = a.reshape(-1, n, n)
     # smallest s >= 0 with ||A||_1 2^-s <= 0.5, exact through frexp

@@ -7,12 +7,13 @@ and one stacked exponential for all pieces, a fold of the factors across
 cells, and one stacked SVD per block of snapshots; ``step_propagator`` is
 its one-cell case.  Stacks are walked in blocks of ``_BLOCK_BYTES`` per
 operand, the one memory budget of the stepper and the unitarization.
-``pitaron(U)`` is the only source of ``PropagatorTriple``: from one
-singular value decomposition of U it forms N = (U U^dagger)^(-1/2), the
-manifestly unitary P = N @ U and the condition number of U, and it fails
-above ``COND_THRESHOLD``.  It is the only route to N: ``pitaron(u).N``.
-Trajectory snapshots come from its stacked form, bit for bit the same,
-the identity at t0 included.  The three right-hand-side routines
+``pitaron(U)`` forms, from one singular value decomposition of U,
+N = (U U^dagger)^(-1/2), the manifestly unitary P = N @ U and the
+condition number of U, and it fails above ``COND_THRESHOLD``.  It is the
+one-matrix case of the stacked unitarization, the only route to N: a
+``Trajectory`` holds its results as stacked columns (U, N, P and one
+diagnostic per snapshot), bit for bit the same, the identity at t0
+included.  The three right-hand-side routines
 evaluate the evolution laws claimed for dN/dt so tests can compare them
 against finite differences of the definition.
 
@@ -30,6 +31,7 @@ stepped product and are out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,9 @@ from .linalg import (
     COND_THRESHOLD,
     HERMITICITY_TOL,
     as_matrix,
+    as_stack,
     frob,
+    frob_stack,
     hermiticity_defect,
     hermitize,
     lyapunov_solve,
@@ -70,9 +74,8 @@ class PropagatorTriple:
     at rounding level (a few dim * eps) for every P returned, whatever
     cond_U is below the threshold.  N and P carry errors of order
     eps * cond_U (not eps * cond_U^2), and P equals N @ U to within about
-    dim * eps * cond_U.  Built only by ``pitaron`` and its stacked form;
-    the time of a trajectory snapshot is the matching entry of
-    ``Trajectory.grid``.
+    dim * eps * cond_U.  Built by ``pitaron`` and, as a view of one
+    snapshot, by ``Trajectory.snapshots``.
     """
 
     U: np.ndarray
@@ -85,12 +88,33 @@ class PropagatorTriple:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-gridded propagator snapshots plus scalar observables."""
+    """Time-gridded propagator snapshots as stacked columns.
+
+    Entry k of every column belongs to the snapshot at ``grid[k]``:
+    ``U``, ``N`` and ``P`` are ``(len(grid), dim, dim)`` stacks, and
+    ``defect_U``, ``defect_P`` and ``cond_U`` (as in ``PropagatorTriple``),
+    ``n_distance`` = ||N - 1||_F and ``z_factors`` (None without a
+    reference state) hold one float per snapshot.
+    """
 
     grid: np.ndarray
-    snapshots: tuple[PropagatorTriple, ...]
-    z_factors: np.ndarray | None
+    U: np.ndarray
+    N: np.ndarray
+    P: np.ndarray
+    defect_U: np.ndarray
+    defect_P: np.ndarray
+    cond_U: np.ndarray
     n_distance: np.ndarray
+    z_factors: np.ndarray | None
+
+    @property
+    def snapshots(self) -> tuple[PropagatorTriple, ...]:
+        """Each snapshot as a ``PropagatorTriple`` of views of the columns."""
+        return tuple(
+            PropagatorTriple(U=u, N=n, P=p, defect_U=du, defect_P=dp, cond_U=c)
+            for u, n, p, du, dp, c in zip(self.U, self.N, self.P, self.defect_U.tolist(),
+                                          self.defect_P.tolist(), self.cond_U.tolist())
+        )
 
 
 # Bytes of complex128 matrices that one stacked step holds per operand: the
@@ -162,7 +186,7 @@ def _exponentials(spec: HamiltonianSpec, width, mid, kick, kick_exponents) -> np
     return mat_exp(exponents)
 
 
-def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
+def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int, storage=None):
     """Time-ordered product of every cell (grid[c], grid[c + 1]]: ``products[which[c]]``.
 
     Uniform pieces of width (grid[c + 1] - grid[c]) / steps are split at
@@ -184,6 +208,8 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
     distinct piece width and each kick once, and multiplies out each
     distinct sequence of factors once; the memo belongs to this call.
     Overflow while exponentiating or folding raises ``FloatingPointError``.
+    There are at most ``len(grid)`` products; ``storage``, a stack of that
+    many matrices if given, holds them instead of a new array.
     """
     count, width, mid, kick = _layout(spec, grid, steps)
     dim, block = spec.dim, _block(spec.dim)
@@ -220,7 +246,7 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
         which[cells] = size + inverse
         groups.append((size, rows))
         size += len(rows)
-    products = np.empty((size, dim, dim), dtype=np.complex128)
+    products = np.empty((size, dim, dim), dtype=np.complex128) if storage is None else storage[:size]
     products[0] = np.eye(dim)
     for at, rows in groups:
         _fold(factors, rows, block, products[at:at + len(rows)])
@@ -297,17 +323,22 @@ def pitaron(u) -> PropagatorTriple:
     non-finite entries raise ``FloatingPointError``.  It is the one-matrix
     case of the stacked unitarization that ``evolve_trajectory`` uses.
     """
-    (triple,) = _unitarize(_as_propagator(u)[None])
-    return triple
+    u = _as_propagator(u)[None]
+    n, p = np.empty_like(u), np.empty_like(u)
+    defect_u, defect_p, cond, _ = _unitarize(u, n, p)
+    return PropagatorTriple(U=u[0], N=n[0], P=p[0], defect_U=float(defect_u[0]),
+                            defect_P=float(defect_p[0]), cond_U=float(cond[0]))
 
 
-def _unitarize(u: np.ndarray) -> list[PropagatorTriple]:
+def _unitarize(u: np.ndarray, n: np.ndarray, p: np.ndarray):
     """``pitaron`` of every matrix of the stack ``u``, from one stacked SVD.
 
-    Each triple holds views of the stacked results and the same bits as
-    ``pitaron`` of its matrix alone; the defects are reduced per matrix
-    by ``frob``.  The first matrix that fails decides the error, as if
-    the matrices were unitarized in turn.
+    Writes N and P into the stacks ``n`` and ``p`` and returns the columns
+    ``(defect_U, defect_P, cond_U, n_distance)``, n_distance = ||N - 1||_F.
+    Every entry has the bits of ``pitaron`` of its matrix alone; the
+    norms are reduced per matrix by ``frob_stack``, as ``frob`` reduces
+    them.  The first matrix that fails decides the error, as if the
+    matrices were unitarized in turn.
     """
     finite = np.isfinite(u).all(axis=(-2, -1))
     stop = len(u) if finite.all() else int(np.argmin(finite))
@@ -324,25 +355,47 @@ def _unitarize(u: np.ndarray) -> list[PropagatorTriple]:
         )
     if stop < len(u):
         raise FloatingPointError("propagator has non-finite entries (overflow)")
-    p = w @ vh
-    n = hermitize((w / s[:, None, :]) @ w.conj().swapaxes(-1, -2))
-    gram = p.conj().swapaxes(-1, -2) @ p - np.eye(u.shape[-1])
-    defect_u = s * s - 1.0
-    return [
-        PropagatorTriple(U=u[k], N=n[k], P=p[k], defect_U=frob(defect_u[k]),
-                         defect_P=frob(gram[k]), cond_U=float(cond[k]))
-        for k in range(len(u))
-    ]
+    # N and P go straight into their stacks, through as few block temporaries as may be
+    np.matmul(w, vh, out=p)
+    del vh
+    w_h = w.conj().swapaxes(-1, -2)
+    w /= s[:, None, :]
+    np.matmul(w, w_h, out=n)
+    del w, w_h
+    hermitize(n, out=n)
+    eye = np.eye(u.shape[-1])
+    scratch = p.conj().swapaxes(-1, -2) @ p
+    defect_p = frob_stack(np.subtract(scratch, eye, out=scratch))
+    n_distance = frob_stack(np.subtract(n, eye, out=scratch))
+    return frob_stack((s * s - 1.0)[..., None]), defect_p, cond, n_distance
 
 
-def z_factor(u, psi) -> float:
-    """Norm ratio ||U psi|| / ||psi||; unity under unitary evolution."""
-    u = as_matrix(u)
+def _reference_norm(psi: np.ndarray, dim: int) -> float:
+    """||psi|| of a reference state of shape ``(dim,)``: a positive finite float, else ValueError."""
+    if psi.shape != (dim,):
+        raise ValueError(f"reference state must have shape ({dim},), got {psi.shape}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(psi))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"reference state must be nonzero with a finite norm, got norm {norm}")
+    return norm
+
+
+def z_factor(u, psi):
+    """Norm ratio ||U psi|| / ||psi|| for one matrix or each of a stack; unity under unitary evolution.
+
+    ``u`` is a square matrix (the result is a float) or a stack
+    ``(..., n, n)`` (an array of ``u.shape[:-2]``), and entry k has the
+    bits of ``z_factor(u[k], psi)``.  A reference state whose norm is not
+    a positive finite float raises ``ValueError``; an overflow in U psi
+    or in its norm raises ``FloatingPointError``.
+    """
+    u = as_stack(u)
     psi = np.asarray(psi, dtype=np.complex128)
-    norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
-        raise ValueError("reference state must be nonzero")
-    return float(np.linalg.norm(u @ psi)) / norm
+    norm = _reference_norm(psi, u.shape[-1])
+    with np.errstate(over="raise", invalid="raise"):
+        ratio = frob_stack((u @ psi)[..., None]) / norm
+    return float(ratio) if u.ndim == 2 else ratio
 
 
 def liouville_rhs(h, n) -> np.ndarray:
@@ -406,7 +459,9 @@ def evolve_trajectory(
     Every snapshot is ``pitaron`` of the cumulative product; the first is
     that of the identity, which is exact: U = N = P = 1, zero defects and
     cond_U = 1.  ``z_factors`` tracks ||U psi0|| / ||psi0|| for the
-    reference state ``psi0`` when one is supplied.
+    reference state ``psi0`` when one is supplied, as one stacked
+    ``z_factor`` call; a ``psi0`` whose norm is not a positive finite
+    float is rejected before any stepping.
 
     The trajectory is stepped in one pass over all its cells: one
     stacked H sample and one stacked exponential for every piece of every
@@ -414,10 +469,12 @@ def evolve_trajectory(
     scan above (see ``_cell_products``).  A constant spec exponentiates
     each distinct substep width once and multiplies out each distinct
     cell once, in a memo dropped on return.  The snapshots are
-    unitarized by one stacked SVD per block.  Stacks of factors and of
-    snapshots are walked in blocks of ``_BLOCK_BYTES`` per operand; beside
-    the snapshots a call holds one product per distinct cell and a few
-    numbers per piece.  Every snapshot is bit-identical to ``pitaron`` of
+    unitarized by one stacked SVD per block, which writes N and P into
+    the trajectory's stacks and reduces the diagnostics in the block.
+    Stacks of factors and of snapshots are walked in blocks of
+    ``_BLOCK_BYTES`` per operand; beside the U, N and P stacks a call
+    holds one product per distinct cell and a few numbers per piece.
+    Every snapshot is bit-identical to ``pitaron`` of
     ``step_propagator`` of its cell times the snapshot before it, and the
     first snapshot that fails raises as ``pitaron`` would; an overflow
     while stepping raises ``FloatingPointError`` before any of them.
@@ -429,33 +486,27 @@ def evolve_trajectory(
 
     if psi0 is not None:
         psi0 = np.asarray(psi0, dtype=np.complex128)
-        if psi0.shape != (spec.dim,):
-            raise ValueError(f"reference state must have shape ({spec.dim},), got {psi0.shape}")
-        if np.linalg.norm(psi0) == 0.0:
-            raise ValueError("reference state must be nonzero")
+        _reference_norm(psi0, spec.dim)
 
-    products, which = _cell_products(spec, grid, steps_per_cell)
-    u = np.empty((grid_points, spec.dim, spec.dim), dtype=np.complex128)
+    # the cell products live in the N stack until the scan has read them: that
+    # spares the SVD blocks a fresh stack where the products' memory would lie idle
+    n = np.empty((grid_points, spec.dim, spec.dim), dtype=np.complex128)
+    products, which = _cell_products(spec, grid, steps_per_cell, storage=n)
+    u = np.empty_like(n)
     u[0] = np.eye(spec.dim)
     # an overflow here leaves a non-finite snapshot, reported in snapshot order below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, p in enumerate(which.tolist()):
-            u[k + 1] = products[p] @ u[k]
-    del products  # freed before the SVD blocks allocate
+        for k, cell in enumerate(which.tolist()):
+            u[k + 1] = products[cell] @ u[k]
+    del products
+    p = np.empty_like(u)
     block = _block(spec.dim)
-    snapshots = [triple for lo in range(0, grid_points, block)
-                 for triple in _unitarize(u[lo:lo + block])]
-
-    eye = np.eye(spec.dim, dtype=np.complex128)
-    n_distance = np.array([frob(s.N - eye) for s in snapshots])
-    z_factors = None
-    if psi0 is not None:
-        z_factors = np.array([z_factor(s.U, psi0) for s in snapshots])
+    columns = [_unitarize(u[lo:lo + block], n[lo:lo + block], p[lo:lo + block])
+               for lo in range(0, grid_points, block)]
+    defect_u, defect_p, cond, n_distance = (np.concatenate(c) for c in zip(*columns))
     return Trajectory(
-        grid=grid,
-        snapshots=tuple(snapshots),
-        z_factors=z_factors,
-        n_distance=n_distance,
+        grid=grid, U=u, N=n, P=p, defect_U=defect_u, defect_P=defect_p, cond_U=cond,
+        n_distance=n_distance, z_factors=None if psi0 is None else z_factor(u, psi0),
     )
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec
-from .linalg import frob, simpson_grid
+from .linalg import frob, simpson_grid, simpson_pattern
 
 MAX_ORDER = 4  # nested quadrature cost grows as panels**order
 _TREE_BYTES = 1 << 22  # samples of the Dyson node tree held at once
@@ -102,8 +102,8 @@ def _tree(spec: HamiltonianSpec, t0: float, uppers: np.ndarray, depth: int,
     of columns that keep the samples of the levels from here down within
     ``_TREE_BYTES``.
     """
-    grid, pattern, step = simpson_grid(t0, uppers, panels)
-    weights = pattern * (step / 3.0)[..., None]
+    grid, step = simpson_grid(t0, uppers, panels)
+    weights = simpson_pattern(panels) * (step / 3.0)[..., None]
     n = grid.shape[-1]
     below = (n - 1) ** (depth - 1) * (16 * spec.dim**2 + 8)  # sample and time bytes per node
     width = max(1, _TREE_BYTES // (uppers.size * below))

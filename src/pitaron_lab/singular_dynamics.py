@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import simpson_grid
+from .linalg import simpson_grid, simpson_pattern
 
 __all__ = [
     "StepFunction",
@@ -40,7 +40,11 @@ class StepFunction:
 
     Evaluates to base plus every jump at or before t, matching the
     half-open kick convention of the stepper: the jump at a kick time
-    counts from that instant on.
+    counts from that instant on.  ``t`` is a time or an array of them.
+    The jumps at or before t are a prefix of ``jumps``, so the value is
+    one entry of the running sum 0, 0 + d1, (0 + d1) + d2, ... picked by
+    ``searchsorted(side="right")``: the bits of ``base + sum(d for tau,
+    d in jumps if tau <= t)`` for every t but NaN.
     """
 
     base: float
@@ -51,8 +55,11 @@ class StepFunction:
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError(f"jump times must be strictly increasing: {times}")
 
-    def __call__(self, t: float) -> float:
-        return self.base + sum(delta for tau, delta in self.jumps if tau <= t)
+    def __call__(self, t):
+        times = [tau for tau, _ in self.jumps]
+        running = np.cumsum([0.0] + [delta for _, delta in self.jumps])
+        value = self.base + running[np.searchsorted(times, t, side="right")]
+        return float(value) if np.ndim(t) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -137,8 +144,8 @@ class SmearedDelta:
 def _simpson_scalar(f, a: float, b: float, panels: int) -> float:
     if b <= a:
         return 0.0
-    x, pattern, h = simpson_grid(a, b, panels)
-    return float(np.sum(pattern * f(x)) * h / 3.0)
+    x, h = simpson_grid(a, b, panels)
+    return float(np.sum(simpson_pattern(panels) * f(x)) * h / 3.0)
 
 
 def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -166,11 +173,13 @@ def _cumulative_strength(strengths, times) -> StepFunction:
     return StepFunction(base=0.0, jumps=tuple(zip(times, strengths)))
 
 
-def comb_truncated_norm(strengths, times, t: float) -> float:
+def comb_truncated_norm(strengths, times, t):
     """Defined part of the comb normalization: 1 - S(t)^2 / 2.
 
     S(t) is the cumulative kick strength through t, so the value is a
-    right-continuous staircase that drops at every kick.
+    right-continuous staircase that drops at every kick.  ``t`` is a time
+    (the result is a float) or an array of them, each entry the bits of
+    its own scalar call.
     """
     s = _cumulative_strength(strengths, times)(t)
     return 1.0 - 0.5 * s * s
@@ -277,7 +286,7 @@ def smeared_second_order(eps1: float, eps2: float, kind: str, t1: float,
     before = 0.0  # inner mass of the earlier segments
     total = 0.0
     for a, b in segments:
-        x, _, step = simpson_grid(a, b, panels)
+        x, step = simpson_grid(a, b, panels)
         cdf = before + _cumulative_simpson(inner.density(x), step)
         total += _cumulative_simpson(outer.density(x) * cdf, step)[-1]
         before = cdf[-1]

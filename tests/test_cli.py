@@ -55,6 +55,26 @@ DYSON_CONFIG = {
     "params": {"T_list": [0.1, 0.2], "orders": [1, 2], "panels": 4},
 }
 
+NHSE_CONFIG = {
+    "kind": "nhse",
+    "output_path": "nhse_run",
+    "params": {"l": 4, "onsite": 0.0, "hop": 1.0, "gamma": 0.5,
+               "t0": 0.0, "t1": 2.0, "grid_points": 9, "steps_per_cell": 10},
+}
+
+CONSTANT_CONFIG = {
+    "kind": "evolve",
+    "output_path": "constant_run",
+    "params": {"model": "constant", "matrix": [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]],
+               "t0": 0.0, "t1": 1.0, "grid_points": 5, "steps_per_cell": 4},
+}
+
+
+def with_params(base, **params):
+    raw = json.loads(json.dumps(base))
+    raw["params"].update(params)
+    return raw
+
 
 class TestConfigValidation:
     def test_load_happy_path(self, tmp_path):
@@ -124,12 +144,7 @@ class TestRunExperiment:
         assert any("indefinite" in w for w in summary["warnings"])
 
     def test_nhse_records_warning_and_contrast(self, tmp_path):
-        cfg = validate_config({
-            "kind": "nhse",
-            "output_path": "nhse_run",
-            "params": {"l": 4, "onsite": 0.0, "hop": 1.0, "gamma": 0.5,
-                       "t0": 0.0, "t1": 2.0, "grid_points": 9, "steps_per_cell": 10},
-        })
+        cfg = validate_config(NHSE_CONFIG)
         summary = run_experiment(cfg, tmp_path)
         assert summary["results"]["final_defect_U"] > 0.1
         assert summary["results"]["final_defect_P"] < 1e-10
@@ -312,6 +327,38 @@ class TestMainEntryPoint:
         assert "numerical failure" in done.stderr
         assert not list(tmp_path.glob("huge.*"))
 
+    # psi0 entries of 1e200: ||psi0||^2 lies beyond the float range
+    HUGE_STATE = with_params(PAULI_CONFIG, psi0=[[1e200, 0.0], [1e200, 0.0]])
+    # H = i on one level: U = e^t reaches 2.2e4 at t = 10, and ||U psi0||^2 ~ 5e312
+    GROWING_STATE = with_params(CONSTANT_CONFIG, matrix=[[[0.0, 1.0]]], psi0=[[1e152, 0.0]],
+                                t1=10.0, grid_points=3)
+
+    @pytest.mark.parametrize("config, code, message", [
+        (HUGE_STATE, 2, "config error"), (GROWING_STATE, 3, "numerical failure")],
+        ids=["norm-beyond-float-range", "overflowing-U-psi0"])
+    def test_reference_state_beyond_float_range_fails_without_a_warning(
+            self, tmp_path, capsys, config, code, message):
+        path = write_config(tmp_path, "cfg.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    def test_huge_reference_state_exits_two_with_warnings_as_errors(self, tmp_path):
+        path = write_config(tmp_path, "cfg.json", self.HUGE_STATE)
+        src = str(Path(pitaron_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pitaron_lab.cli", "run", str(path),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "finite norm" in done.stderr
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
     def test_math_overflow_exits_three(self, tmp_path, capsys):
         # exp(g * x1) = exp(1000) in the a-priori bound raises OverflowError
         config = {
@@ -378,6 +425,36 @@ class TestMainEntryPoint:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "above the cap of 10000000" in capsys.readouterr().err
         assert not list(tmp_path.glob("dyson_run*"))
+
+    @pytest.mark.parametrize("config, message", [
+        # grid_points x steps_per_cell above 2 * 10^4
+        (with_params(PAULI_CONFIG, grid_points=11, steps_per_cell=1819), "20009 pieces"),
+        (with_params(NHSE_CONFIG, grid_points=20001, steps_per_cell=1), "20001 pieces"),
+        (with_params(COMB_CONFIG, grid_points=2, steps_per_cell=10**300), "above the cap of 20000"),
+        # a dimension above 64
+        (with_params(CONSTANT_CONFIG, matrix=[[[0.0, 0.0]] * 65] * 65), "dimension 65"),
+        (with_params(CONSTANT_CONFIG, psi0=[[1.0, 0.0]] * 65), "dimension 65"),
+        (with_params(NHSE_CONFIG, l=65), "integer in [1, 64]"),
+        (with_params(COMB_CONFIG, dim=65), "integer in [1, 64]"),
+        # grid_points x dim^2 above 2^19: 129 snapshots at dim 64
+        (with_params(NHSE_CONFIG, l=64, grid_points=129, steps_per_cell=1),
+         "528384 snapshot entries"),
+        (with_params(COMB_CONFIG, dim=64, grid_points=129, steps_per_cell=1),
+         "528384 snapshot entries"),
+    ], ids=["pieces-evolve", "pieces-nhse", "pieces-comb", "dim-matrix", "dim-psi0",
+            "dim-nhse", "dim-comb", "snapshots-nhse", "snapshots-comb"])
+    def test_trajectory_beyond_a_cap_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                                 config, message):
+        path = write_config(tmp_path, "cap.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    def test_trajectory_at_the_caps_runs(self, tmp_path):
+        config = with_params(COMB_CONFIG, dim=64, grid_points=128, steps_per_cell=156)
+        assert main(["run", str(write_config(tmp_path, "cap.json", config)),
+                     "--out", str(tmp_path)]) == 0
 
     def test_jobs_fan_out(self, tmp_path, capsys):
         p1 = write_config(tmp_path, "one.json", PAULI_CONFIG)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,29 @@ class TestZFactor:
         with pytest.raises(ValueError, match="nonzero"):
             z_factor(np.eye(2), [0.0, 0.0])
 
+    @pytest.mark.parametrize("psi", [[1e200, 1e200], [np.inf, 0.0], [np.nan, 1.0], [1e-200, 0.0]],
+                             ids=["norm-overflows", "inf", "nan", "norm-underflows"])
+    def test_rejects_a_state_whose_norm_is_no_positive_float(self, psi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite norm"):
+                z_factor(np.eye(2), psi)
+
+    def test_overflowing_u_psi_raises_without_a_warning(self):
+        # ||psi||^2 = 2e300 is a float; ||U psi||^2 = 2e312 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                z_factor(1e6 * np.eye(2), [1e150, 1e150])
+
+    def test_stack_gives_an_array_and_one_matrix_a_float(self, rng):
+        u = np.stack([random_ginibre(rng, 3) for _ in range(4)]).reshape(2, 2, 3, 3)
+        psi = [1.0, 2.0, -1j]
+        ratios = z_factor(u, psi)
+        assert ratios.shape == (2, 2)
+        assert type(z_factor(u[1, 0], psi)) is float
+        assert ratios[1, 0] == z_factor(u[1, 0], psi)
+
 
 class TestEvolutionLaws:
     def test_liouville_identity_commutes(self):
@@ -344,6 +368,23 @@ class TestEvolveTrajectory:
         assert traj.snapshots[-1].defect_U > 0.1
         assert max(s.defect_P for s in traj.snapshots) < 1e-10
         assert abs(traj.z_factors[-1] - 1.0) > 0.05
+
+    def test_columns_hold_the_snapshots(self, rng):
+        spec = _kicked_nonhermitian_spec(rng)
+        traj = evolve_trajectory(spec, 0.0, 2.0, 5, 7, psi0=[1.0, 0.0, 1j])
+        assert traj.U.shape == traj.N.shape == traj.P.shape == (5, 3, 3)
+        for k, snap in enumerate(traj.snapshots):
+            _assert_same_triple(snap, pitaron(traj.U[k]))
+            assert np.array_equal(snap.N, traj.N[k]) and np.array_equal(snap.P, traj.P[k])
+            assert (snap.defect_U, snap.defect_P, snap.cond_U) == \
+                (traj.defect_U[k], traj.defect_P[k], traj.cond_U[k])
+            assert traj.n_distance[k] == frob(snap.N - np.eye(3))
+            assert traj.z_factors[k] == z_factor(snap.U, [1.0, 0.0, 1j])
+
+    def test_huge_reference_state_is_rejected_before_stepping(self, monkeypatch):
+        monkeypatch.setattr(propagation, "mat_exp", lambda a: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="finite norm"):
+            evolve_trajectory(pauli_hamiltonian(1, 0, 0), 0.0, 1.0, 3, 2, psi0=[1e200, 0.0])
 
     def test_z_factors_track_reference_state(self):
         spec = pauli_hamiltonian(0, 0, 1)
