@@ -186,7 +186,7 @@ def _exponentials(spec: HamiltonianSpec, width, mid, kick, kick_exponents) -> np
     return mat_exp(exponents)
 
 
-def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int, storage=None):
+def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
     """Time-ordered product of every cell (grid[c], grid[c + 1]]: ``products[which[c]]``.
 
     Uniform pieces of width (grid[c + 1] - grid[c]) / steps are split at
@@ -208,8 +208,9 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int, storage=
     distinct piece width and each kick once, and multiplies out each
     distinct sequence of factors once; the memo belongs to this call.
     Overflow while exponentiating or folding raises ``FloatingPointError``.
-    There are at most ``len(grid)`` products; ``storage``, a stack of that
-    many matrices if given, holds them instead of a new array.
+    There are at most ``len(grid)`` products, and ``products`` is a stack
+    of that many matrices whatever their count, so that
+    ``evolve_trajectory`` can reuse it as its N stack.
     """
     count, width, mid, kick = _layout(spec, grid, steps)
     dim, block = spec.dim, _block(spec.dim)
@@ -246,7 +247,7 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int, storage=
         which[cells] = size + inverse
         groups.append((size, rows))
         size += len(rows)
-    products = np.empty((size, dim, dim), dtype=np.complex128) if storage is None else storage[:size]
+    products = np.empty((len(grid), dim, dim), dtype=np.complex128)
     products[0] = np.eye(dim)
     for at, rows in groups:
         _fold(factors, rows, block, products[at:at + len(rows)])
@@ -488,17 +489,15 @@ def evolve_trajectory(
         psi0 = np.asarray(psi0, dtype=np.complex128)
         _reference_norm(psi0, spec.dim)
 
-    # the cell products live in the N stack until the scan has read them: that
+    # the stack of cell products becomes the N stack once the scan has read it: that
     # spares the SVD blocks a fresh stack where the products' memory would lie idle
-    n = np.empty((grid_points, spec.dim, spec.dim), dtype=np.complex128)
-    products, which = _cell_products(spec, grid, steps_per_cell, storage=n)
+    n, which = _cell_products(spec, grid, steps_per_cell)
     u = np.empty_like(n)
     u[0] = np.eye(spec.dim)
     # an overflow here leaves a non-finite snapshot, reported in snapshot order below
     with np.errstate(over="ignore", invalid="ignore"):
         for k, cell in enumerate(which.tolist()):
-            u[k + 1] = products[cell] @ u[k]
-    del products
+            u[k + 1] = n[cell] @ u[k]
     p = np.empty_like(u)
     block = _block(spec.dim)
     columns = [_unitarize(u[lo:lo + block], n[lo:lo + block], p[lo:lo + block])
