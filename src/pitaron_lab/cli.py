@@ -6,19 +6,22 @@ whole config schema: it maps each kind to its runner and to the typed
 fields of each variant (``evolve.model``, ``picard.problem``,
 ``counterexample.demo``).  ``validate_config`` checks every key against
 it (unknown and missing keys, types and ranges) and hands the runner
-coerced values, so a runner only computes.  ``output_path`` must be a
-relative path without ``..``, so outputs stay under ``--out``; lists that
-make CSV rows (``T_list``, ``orders``, ``pairs``, ``n_list``) must be
-non-empty.  Checks that join two keys (``psi0`` against the dimension, a
-``hop`` list against ``l``, a kick at ``t0``) stay in the library, which
-raises ``ValueError``.  The work caps join keys too, and belong to the
-schema: a kind's ``limit`` checks the coerced values as a whole.  A dyson
-config whose nested quadratures, one per length, would exceed
+coerced values, so a runner only computes: it returns its CSV as columns
+(header to equal-length sequence), its summary scalars and its warnings.
+``output_path`` must be a relative path without ``..``, so outputs stay
+under ``--out``; lists that make CSV rows (``T_list``, ``orders``,
+``pairs``, ``n_list``) must be non-empty, and ``orders`` distinct.
+Checks that join two keys (``psi0`` against the dimension, a ``hop``
+list against ``l``, a kick at ``t0``) stay in the library, which raises
+``ValueError``.  The work caps join keys too, and belong to the schema:
+a kind's ``limit`` checks the coerced values as a whole.  A dyson config
+whose nested quadratures, one per length, would exceed
 ``DYSON_MAX_NODES`` nodes in all is a config error, and so is a
 trajectory (evolve, nhse, comb) of more than ``TRAJECTORY_MAX_PIECES``
-pieces or ``SNAPSHOT_MAX_ENTRIES`` snapshot entries; no matrix or state
-is larger than ``MAX_DIM``.  The pipeline is deterministic for a given
-config, so re-running byte-reproduces the CSV.
+pieces or ``SNAPSHOT_MAX_ENTRIES`` snapshot entries, or a comb of more
+than ``COMB_MAX_ENTRIES`` kick entries; no matrix or state is larger
+than ``MAX_DIM``.  The pipeline is deterministic for a given config, so
+re-running byte-reproduces the CSV.
 
 Exit codes: 0 success (warnings go to the summary), 2 config error: a
 config that cannot be read, parsed or validated, parameters the library
@@ -103,11 +106,14 @@ def _integer(low: int, high: float = math.inf):
     return check
 
 
-def _list_of(item, min_length: int = 1):
+def _list_of(item, min_length: int = 1, distinct: bool = False):
     def check(value, where: str) -> list:
         if not isinstance(value, list) or len(value) < min_length:
             _fail(f"{where} must be a list of at least {min_length} entries, got {value!r}")
-        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        items = [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        if distinct and len(set(items)) < len(items):
+            _fail(f"{where} must not repeat an entry, got {value!r}")
+        return items
     return check
 
 
@@ -134,14 +140,19 @@ MAX_DIM = 64
 # grid_points x steps_per_cell of a trajectory.  At the cap, one cell of
 # 2*10^4 pieces takes 1.6 s and +5 MiB resident memory at dim 64 (nhse
 # l=64, each piece a 64x64 product) and 0.14 s at dim 2 (Pauli drive);
-# 2*10^4 one-piece Pauli cells take 0.43 s and +15 MiB, of which the
-# trajectory's traced peak is 10 MiB and the CSV rows 6 MiB (runner calls,
+# 2*10^4 one-piece Pauli cells take 0.5 s and +8 MiB, the trajectory's
+# traced peak; the CSV's Python values take 3 MiB after it (runner calls,
 # shared 2-vCPU host).
 TRAJECTORY_MAX_PIECES = 2 * 10**4
 # grid_points x dim^2, the entries of each of the U, N and P stacks
 # (16 bytes each): at the cap, 128 snapshots of an l=64 chain take 0.55 s
 # and +29 MiB resident memory, most of it those stacks.
 SNAPSHOT_MAX_ENTRIES = 2**19
+# len(strengths) x dim^2, the entries of a comb's kick matrices; a kick also
+# costs ~25 us and ~400 bytes of Python objects at any dim.  At the cap,
+# 2^16 kicks at dim 1 take ~1.6 s and +25 MiB resident memory, 16 at dim 64
+# 0.13 s and +2 MiB (grid_points 20000 and 128, as above).
+COMB_MAX_ENTRIES = 2**16
 
 
 def _number_or_list(value, where: str):
@@ -226,13 +237,10 @@ def _trajectory(spec: ham.HamiltonianSpec, cfg: ExperimentConfig) -> prop.Trajec
     )
 
 
-def _trajectory_rows(traj: prop.Trajectory, n_trunc=None):
-    """One row per snapshot, read from the trajectory's columns and ``n_trunc``, if given."""
-    columns = {"t": traj.grid, "defect_U": traj.defect_U, "defect_P": traj.defect_P,
-               "n_distance": traj.n_distance, "z_factor": traj.z_factors}
-    if n_trunc is not None:
-        columns["n_trunc"] = n_trunc
-    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+def _trajectory_columns(traj: prop.Trajectory) -> dict:
+    """The CSV columns of a trajectory, one entry per snapshot."""
+    return {"t": traj.grid, "defect_U": traj.defect_U, "defect_P": traj.defect_P,
+            "n_distance": traj.n_distance, "z_factor": traj.z_factors}
 
 
 def _run_evolve(cfg: ExperimentConfig):
@@ -257,7 +265,7 @@ def _run_evolve(cfg: ExperimentConfig):
         "final_defect_P": float(traj.defect_P[-1]),
         "max_cond_U": float(traj.cond_U.max()),
     }
-    return _trajectory_rows(traj), scalars, warnings
+    return _trajectory_columns(traj), scalars, warnings
 
 
 def _run_nhse(cfg: ExperimentConfig):
@@ -279,13 +287,15 @@ def _run_nhse(cfg: ExperimentConfig):
         "final_z_factor": float(traj.z_factors[-1]),
         "max_n_distance": float(traj.n_distance.max()),
     }
-    return _trajectory_rows(traj), scalars, warnings
+    return _trajectory_columns(traj), scalars, warnings
 
 
 def _run_comb(cfg: ExperimentConfig):
     v = cfg.values
     strengths, times, t1 = v["strengths"], v["times"], v["t1"]
     traj = _trajectory(ham.dirac_comb_spec(strengths, times, v["dim"]), cfg)
+    # np.linspace ends the grid at t1 exactly, so n_trunc[-1] is the value at t1
+    n_trunc = sing.comb_truncated_norm(strengths, times, traj.grid)
     report = sing.comb_expansion_terms(strengths, times, t1)
     pit_re, pit_im = sing.comb_pitaron_expansion(strengths, times, t1)
     warnings = [
@@ -293,41 +303,38 @@ def _run_comb(cfg: ExperimentConfig):
         "raw expansion; they have no canonical value and were not evaluated"
     ] if report.indefinite else []
     scalars = {
-        "final_n_trunc": sing.comb_truncated_norm(strengths, times, t1),
+        "final_n_trunc": float(n_trunc[-1]),
         "indefinite_flags": len(report.indefinite),
         "pitaron_expansion_re": pit_re,
         "pitaron_expansion_im": pit_im,
         "final_defect_P": float(traj.defect_P[-1]),
     }
-    rows = _trajectory_rows(traj, n_trunc=sing.comb_truncated_norm(strengths, times, traj.grid))
-    return rows, scalars, warnings
+    return {**_trajectory_columns(traj), "n_trunc": n_trunc}, scalars, warnings
 
 
 def _run_dyson(cfg: ExperimentConfig):
     v = cfg.values
     T_list, orders, panels = v["T_list"], v["orders"], v["panels"]
     spec = ham.HamiltonianSpec.constant(ham.SIGMA1)
-    rows = []
+    columns = {key: [] for key in
+               ("T", "order", "err_partial", "defect_partial", "err_pitaron_expansion")}
     for T in T_list:
         exact = mat_exp(-1j * T * ham.SIGMA1)  # constant H: the exact propagator
         pit = series.general_pitaron_expansion(spec, 0.0, T, panels)
         dyson = series.dyson_u(spec, 0.0, T, max(orders), panels)
         for order in orders:
             partial_sum = dyson.partial_sums[order]
-            pit_partial = pit.partial_sums[min(order, 2)]
-            rows.append({
-                "T": T,
-                "order": order,
-                "err_partial": frob(partial_sum - exact),
-                "defect_partial": unitarity_defect(partial_sum),
-                "err_pitaron_expansion": frob(pit_partial - exact),
-            })
+            columns["T"].append(T)
+            columns["order"].append(order)
+            columns["err_partial"].append(frob(partial_sum - exact))
+            columns["defect_partial"].append(unitarity_defect(partial_sum))
+            columns["err_pitaron_expansion"].append(frob(pit.partial_sums[min(order, 2)] - exact))
     scalars = {}
-    for order in orders:
-        slope = series.log_log_slope(T_list, [r["err_partial"] for r in rows if r["order"] == order])
+    for i, order in enumerate(orders):  # the orders are distinct: each T repeats them in turn
+        slope = series.log_log_slope(T_list, columns["err_partial"][i::len(orders)])
         if slope is not None:
             scalars[f"slope_order_{order}"] = slope
-    return rows, scalars, []
+    return columns, scalars, []
 
 
 def _run_picard(cfg: ExperimentConfig):
@@ -354,21 +361,17 @@ def _run_picard(cfg: ExperimentConfig):
             except OverflowError:
                 return math.inf
 
-        rows = [
-            {"n": n, "sup_error": float(run.errors[n]),
-             "bound": bound(n) if n >= 1 else float("nan")}
-            for n in range(n_max + 1)
-        ]
+        columns = {"n": range(n_max + 1), "sup_error": run.errors,
+                   "bound": [math.nan, *map(bound, range(1, n_max + 1))]}
         scalars = {"final_sup_error": float(run.errors[-1])}
-        return rows, scalars, []
+        return columns, scalars, []
     report = pic.picard_delta_breakdown(v["a"], v["epsilon"], v["x1"], grid=v["grid"])
-    rows = [
-        {"eps1": e, "eps2": e, "second_iterate": val}
-        for e, val in zip(report.eps_sequence, report.symmetric_second_iterates)
-    ] + [
-        {"eps1": pair[0], "eps2": pair[1], "second_iterate": val}
-        for pair, val in zip(report.asymmetric_pairs, report.asymmetric_second_iterates)
-    ]
+    eps1, eps2 = zip(*report.asymmetric_pairs)
+    columns = {
+        "eps1": report.eps_sequence + eps1,
+        "eps2": report.eps_sequence + eps2,
+        "second_iterate": report.symmetric_second_iterates + report.asymmetric_second_iterates,
+    }
     scalars = {
         "asymmetric_spread": report.asymmetric_spread,
         "direct_value": report.direct_value,
@@ -378,19 +381,15 @@ def _run_picard(cfg: ExperimentConfig):
         f"limit (spread {report.asymmetric_spread:.3f}); the direct solution "
         f"is {report.direct_value:.6f}"
     ]
-    return rows, scalars, warnings
+    return columns, scalars, warnings
 
 
 def _run_counterexample(cfg: ExperimentConfig):
     v = cfg.values
     if v["demo"] == "smearing":
-        rows = [
-            {"eps1": e1, "eps2": e2,
-             "value": sing.smeared_second_order(e1, e2, v["kind"], v["t1"], v["t"],
-                                                panels=v["panels"])}
-            for e1, e2 in v["pairs"]
-        ]
-        values = [r["value"] for r in rows]
+        eps1, eps2 = zip(*v["pairs"])
+        values = [sing.smeared_second_order(e1, e2, v["kind"], v["t1"], v["t"], panels=v["panels"])
+                  for e1, e2 in v["pairs"]]
         scalars = {"min_value": min(values), "max_value": max(values)}
         warnings = []
         if max(values) - min(values) > 0.1:
@@ -398,15 +397,11 @@ def _run_counterexample(cfg: ExperimentConfig):
                 "smeared second-order term depends on the limit path: spread "
                 f"{max(values) - min(values):.3f} across width pairs"
             )
-        return rows, scalars, warnings
+        return {"eps1": eps1, "eps2": eps2, "value": values}, scalars, warnings
     report = sing.dominated_convergence_demos(v["n_list"])
-    rows = [
-        {"n": n, "family1_integral": f1, "family2_integral": f2,
-         "family1_at_1": p1, "family2_at_1": p2}
-        for n, f1, f2, p1, p2 in zip(
-            report.n_values, report.family1_integrals, report.family2_integrals,
-            report.family1_at_1, report.family2_at_1)
-    ]
+    columns = {"n": report.n_values, "family1_integral": report.family1_integrals,
+               "family2_integral": report.family2_integrals,
+               "family1_at_1": report.family1_at_1, "family2_at_1": report.family2_at_1}
     scalars = {
         "family1_limit_of_integrals": report.family1_integrals[-1],
         "family2_limit_of_integrals": report.family2_integrals[-1],
@@ -415,7 +410,7 @@ def _run_counterexample(cfg: ExperimentConfig):
         "integral of the pointwise limit (0) differs from the limit of the "
         "integrals: dominated convergence fails for both families"
     ]
-    return rows, scalars, warnings
+    return columns, scalars, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +442,14 @@ def _trajectory_limit(dim: Callable[[dict], int]):
     return check
 
 
+def _comb_limit(v: dict, where: str) -> None:
+    entries = len(v["strengths"]) * v["dim"] ** 2
+    if entries > COMB_MAX_ENTRIES:
+        _fail(f"{where}: kicks x dim^2 = {entries} kick entries, "
+              f"above the cap of {COMB_MAX_ENTRIES}")
+    _trajectory_limit(lambda v: v["dim"])(v, where)
+
+
 def _dyson_limit(v: dict, where: str) -> None:
     depth = max(2, *v["orders"])  # the Pitaron expansion is a depth-2 pass of its own
     nodes = len(v["T_list"]) * (2 * v["panels"] + 1) ** depth
@@ -469,9 +472,10 @@ KINDS = {
     "comb": _Kind(_run_comb, {None: {
         "strengths": _list_of(_number, 0), "times": _list_of(_number, 0), "dim": _DIM,
         **_TRAJECTORY,
-    }}, limit=_trajectory_limit(lambda v: v["dim"])),
+    }}, limit=_comb_limit),
     "dyson": _Kind(_run_dyson, {None: {
-        "T_list": _list_of(_positive), "orders": _list_of(_integer(0, series.MAX_ORDER)), "panels": _COUNT,
+        "T_list": _list_of(_positive),
+        "orders": _list_of(_integer(0, series.MAX_ORDER), distinct=True), "panels": _COUNT,
     }}, limit=_dyson_limit),
     "picard": _Kind(_run_picard, {
         "exponential": {"g": _number, "x1": _number, "n_max": _COUNT, "grid": _COUNT},
@@ -533,33 +537,29 @@ def validate_config(raw, where: str = "config") -> ExperimentConfig:
 # output plumbing
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, columns: dict) -> None:
+    """The header from the keys, then one line per row: floats as ``.12e``, the rest by ``str``."""
+    # only numpy columns go through tolist: np.asarray([1, 2**63]) is float
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    with path.open("w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in zip(*cells, strict=True):
+            f.write(",".join(f"{x:.12e}" if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the summary dict it also writes.
 
-    An ``OSError`` while writing is raised after both outputs are removed.
+    An error while writing is raised after both outputs are removed.
     """
     started = time.perf_counter()
-    rows, scalars, warnings = KINDS[cfg.kind].run(cfg)
+    columns, scalars, warnings = KINDS[cfg.kind].run(cfg)
     base = Path(out_dir) / cfg.output_path if out_dir is not None else Path(cfg.output_path)
     base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_name(base.name + ".csv")
     summary_path = base.with_name(base.name + ".summary.json")
     try:
-        _write_csv(csv_path, rows)
+        _write_csv(csv_path, columns)
         summary = {
             "kind": cfg.kind,
             "params": cfg.params,
@@ -569,7 +569,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             "wall_time_ms": (time.perf_counter() - started) * 1000.0,
         }
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except OSError:
+    except Exception:
         for path in (csv_path, summary_path):
             with contextlib.suppress(OSError):
                 path.unlink()

@@ -221,16 +221,14 @@ def comb_expansion_terms(strengths, times, t: float) -> CombExpansionReport:
     s_now = step(t)
     order1 = -1j * s_now
 
-    vals = [float(v) for v in strengths]
-    taus = [float(x) for x in times]
     order2 = 0.0
+    before = 0.0  # the strengths of the earlier kicks (times increase), summed in order
     flags = []
-    for i, (v, tau) in enumerate(zip(vals, taus)):
-        if not 0.0 < tau <= t:
-            continue
-        before = sum(vj for vj, tj in zip(vals, taus) if tj < tau)
-        order2 -= v * before
-        flags.append(IndefiniteTerm(kick_index=i, time=tau, coefficient=-v * v))
+    for i, (tau, v) in enumerate(step.jumps):
+        if 0.0 < tau <= t:
+            order2 -= v * before
+            flags.append(IndefiniteTerm(kick_index=i, time=tau, coefficient=-v * v))
+        before += v
     return CombExpansionReport(
         order0=1.0 + 0.0j,
         order1=order1,

@@ -70,6 +70,23 @@ CONSTANT_CONFIG = {
 }
 
 
+BREAKDOWN_CONFIG = {
+    "kind": "picard",
+    "output_path": "breakdown_run",
+    "params": {"problem": "delta_breakdown", "a": 0.5, "epsilon": 0.01, "x1": 1.0, "grid": 8001},
+}
+
+# 2^63 is no int64: through np.asarray the n column would turn to floats
+BIG_N_CONFIG = {
+    "kind": "counterexample",
+    "output_path": "big_n",
+    "params": {"demo": "dominated", "n_list": [1, 9223372036854775808]},
+}
+
+TRAJECTORY_HEADER = ["t", "defect_U", "defect_P", "n_distance", "z_factor"]
+DOMINATED_HEADER = ["n", "family1_integral", "family2_integral", "family1_at_1", "family2_at_1"]
+
+
 def with_params(base, **params):
     raw = json.loads(json.dumps(base))
     raw["params"].update(params)
@@ -233,6 +250,34 @@ class TestRunExperiment:
         run_experiment(cfg, tmp_path / "b")
         assert (tmp_path / "a" / "pauli_run.csv").read_bytes() == \
                (tmp_path / "b" / "pauli_run.csv").read_bytes()
+
+    @pytest.mark.parametrize("config, header, rows", [
+        (DEMOS["pauli"], TRAJECTORY_HEADER, lambda p: p["grid_points"]),
+        (CONSTANT_CONFIG, TRAJECTORY_HEADER, lambda p: p["grid_points"]),
+        (DEMOS["nhse2"], TRAJECTORY_HEADER, lambda p: p["grid_points"]),
+        (NHSE_CONFIG, TRAJECTORY_HEADER, lambda p: p["grid_points"]),
+        (DEMOS["dimb"], [*TRAJECTORY_HEADER, "n_trunc"], lambda p: p["grid_points"]),
+        (DYSON_CONFIG, ["T", "order", "err_partial", "defect_partial", "err_pitaron_expansion"],
+         lambda p: len(p["T_list"]) * len(p["orders"])),
+        (DEMOS["picard-exp"], ["n", "sup_error", "bound"], lambda p: p["n_max"] + 1),
+        # three symmetric widths, then the two asymmetric pairs
+        (BREAKDOWN_CONFIG, ["eps1", "eps2", "second_iterate"], lambda p: 3 + 2),
+        (DEMOS["smearing"], ["eps1", "eps2", "value"], lambda p: len(p["pairs"])),
+        (DEMOS["dominated"], DOMINATED_HEADER, lambda p: len(p["n_list"])),
+        (BIG_N_CONFIG, DOMINATED_HEADER, lambda p: len(p["n_list"])),
+    ], ids=["pauli", "constant", "nhse2", "nhse", "dimb", "dyson", "picard-exp",
+            "delta-breakdown", "smearing", "dominated", "dominated-2^63"])
+    def test_csv_shape(self, tmp_path, config, header, rows):
+        run_experiment(validate_config(config), tmp_path)
+        lines = (tmp_path / f"{config['output_path']}.csv").read_text().splitlines()
+        assert lines[0].split(",") == header
+        assert len(lines) == 1 + rows(config["params"])
+        assert all(len(line.split(",")) == len(header) for line in lines)
+
+    def test_csv_keeps_integers_beyond_int64(self, tmp_path):
+        run_experiment(validate_config(BIG_N_CONFIG), tmp_path)
+        _, rows = read_csv(tmp_path / "big_n.csv")
+        assert [r["n"] for r in rows] == ["1", "9223372036854775808"]
 
     def test_summary_schema(self, tmp_path):
         run_experiment(validate_config(PAULI_CONFIG), tmp_path)
@@ -441,8 +486,11 @@ class TestMainEntryPoint:
          "528384 snapshot entries"),
         (with_params(COMB_CONFIG, dim=64, grid_points=129, steps_per_cell=1),
          "528384 snapshot entries"),
+        # kicks x dim^2 above 2^16: 17 kicks at dim 64
+        (with_params(COMB_CONFIG, dim=64, strengths=[0.1] * 17,
+                     times=[0.25 * k for k in range(1, 18)]), "69632 kick entries"),
     ], ids=["pieces-evolve", "pieces-nhse", "pieces-comb", "dim-matrix", "dim-psi0",
-            "dim-nhse", "dim-comb", "snapshots-nhse", "snapshots-comb"])
+            "dim-nhse", "dim-comb", "snapshots-nhse", "snapshots-comb", "kicks-comb"])
     def test_trajectory_beyond_a_cap_exits_two_and_writes_nothing(self, tmp_path, capsys,
                                                                  config, message):
         path = write_config(tmp_path, "cap.json", config)
@@ -452,7 +500,8 @@ class TestMainEntryPoint:
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
     def test_trajectory_at_the_caps_runs(self, tmp_path):
-        config = with_params(COMB_CONFIG, dim=64, grid_points=128, steps_per_cell=156)
+        config = with_params(COMB_CONFIG, dim=64, grid_points=128, steps_per_cell=156,
+                             strengths=[0.1] * 16, times=[0.25 * k for k in range(1, 17)])
         assert main(["run", str(write_config(tmp_path, "cap.json", config)),
                      "--out", str(tmp_path)]) == 0
 
@@ -494,14 +543,16 @@ class TestMainEntryPoint:
         (PAULI_CONFIG, "params", "f1", [1]),
         (PAULI_CONFIG, "params", "t1", 10**400),
         (DYSON_CONFIG, "params", "orders", []),
+        (DYSON_CONFIG, "params", "orders", [1, 1]),
         (DYSON_CONFIG, "params", "T_list", []),
         (DYSON_CONFIG, "params", "T_list", [0.0, 0.2]),
         (DYSON_CONFIG, "params", "T_list", [-0.1, 0.2]),
         (PAULI_CONFIG, None, "output_path", "../escaped/x"),
         (PAULI_CONFIG, None, "output_path", "a/../../x"),
         (PAULI_CONFIG, None, "output_path", "ABSOLUTE"),
-    ], ids=["psi0-object", "f1-list", "t1-huge-int", "orders-empty", "T_list-empty", "T_list-zero",
-            "T_list-negative", "output-dotdot", "output-inner-dotdot", "output-absolute"])
+    ], ids=["psi0-object", "f1-list", "t1-huge-int", "orders-empty", "orders-repeated",
+            "T_list-empty", "T_list-zero", "T_list-negative", "output-dotdot",
+            "output-inner-dotdot", "output-absolute"])
     def test_schema_escape_exits_two_and_writes_nothing(self, tmp_path, capsys,
                                                        base, section, key, value):
         raw = json.loads(json.dumps(base))

@@ -4,10 +4,10 @@ Each example starts from a small valid config of one kind and variant,
 then replaces, deletes or adds one or two keys (top level or params) with
 arbitrary JSON values: null, bools, strings, NaN/inf and other floats,
 nested lists and objects.  Integers are drawn from a small range because
-the schema caps only dyson nodes and the size of trajectories: a valid
-config may still ask for as many smearing panels, Picard grid points, comb
-kicks or dominated-convergence indices as it likes, and caps on those are
-out of scope here.
+the schema caps only dyson nodes, the size of trajectories and comb kicks:
+a valid config may still ask for as many smearing panels, Picard grid
+points or dominated-convergence indices as it likes, and caps on those
+are out of scope here.
 """
 
 import copy

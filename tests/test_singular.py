@@ -111,6 +111,26 @@ class TestCombExpansionTerms:
         report = comb_expansion_terms(DIMB_STRENGTHS, DIMB_TIMES, 5.0)
         assert report.order2_defined == pytest.approx(-(s * s - squares) / 2)
 
+    def test_matches_the_pairwise_definition_bit_for_bit(self):
+        # a seeded comb of 300 kicks on (-1, 3), so some lie outside (0, t]
+        rng = np.random.default_rng(13)
+        times = np.sort(rng.uniform(-1.0, 3.0, 300)).tolist()
+        strengths = rng.standard_normal(300).tolist()
+        for t in (0.0, 1.3, 2.0, 5.0):
+            order2 = 0.0
+            flags = []
+            for i, (v, tau) in enumerate(zip(strengths, times)):
+                if 0.0 < tau <= t:
+                    before = 0.0  # every earlier kick, summed left to right
+                    for vj, tj in zip(strengths, times):
+                        if tj < tau:
+                            before += vj
+                    order2 -= v * before
+                    flags.append((i, tau, -v * v))
+            report = comb_expansion_terms(strengths, times, t)
+            assert report.order2_defined == complex(order2)
+            assert [(f.kick_index, f.time, f.coefficient) for f in report.indefinite] == flags
+
 
 class TestCombPitaronExpansion:
     def test_trivial_before_kicks(self):
