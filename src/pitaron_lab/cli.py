@@ -18,18 +18,24 @@ a kind's ``limit`` checks the coerced values as a whole.  A dyson config
 whose nested quadratures, one per length, would exceed
 ``DYSON_MAX_NODES`` nodes in all is a config error, and so is a
 trajectory (evolve, nhse, comb) of more than ``TRAJECTORY_MAX_PIECES``
-pieces or ``SNAPSHOT_MAX_ENTRIES`` snapshot entries, or a comb of more
-than ``COMB_MAX_ENTRIES`` kick entries; no matrix or state is larger
-than ``MAX_DIM``.  The pipeline is deterministic for a given config, so
-re-running byte-reproduces the CSV.
+pieces or ``SNAPSHOT_MAX_ENTRIES`` snapshot entries, a comb of more
+than ``COMB_MAX_ENTRIES`` kick entries, a Picard run beyond
+``PICARD_MAX_ITERATES`` iterates or ``PICARD_MAX_ENTRIES`` iterate
+entries, a smearing demo beyond ``SMEARING_MAX_PANELS`` panels (each
+pair counting ``SMEARING_PAIR_PANELS`` more) or a dominated demo of more
+than ``DOMINATED_MAX_N`` indices; no matrix or state is larger than
+``MAX_DIM``.  So no integer a config holds can ask for unbounded work.
+The pipeline is deterministic for a given config, so re-running
+byte-reproduces the CSV.
 
 Exit codes: 0 success (warnings go to the summary), 2 config error: a
 config that cannot be read, parsed or validated, parameters the library
 rejects (a ``ValueError`` such as t1 <= t0), or outputs that cannot be
 written (an ``OSError`` such as a file name too long), 3 numerical failure
-(an ill-conditioned or overflowing propagator and friends).  Each config
-is loaded and run on its own: a failing config writes nothing, the later
-ones still run, and the largest code is returned.
+(an ill-conditioned or overflowing propagator, an exponential outside
+``mat_exp``'s accuracy domain, and friends).  Each config is loaded and
+run on its own: a failing config writes nothing, the later ones still
+run, and the largest code is returned.
 """
 
 from __future__ import annotations
@@ -153,6 +159,25 @@ SNAPSHOT_MAX_ENTRIES = 2**19
 # 2^16 kicks at dim 1 take ~1.6 s and +25 MiB resident memory, 16 at dim 64
 # 0.13 s and +2 MiB (grid_points 20000 and 128, as above).
 COMB_MAX_ENTRIES = 2**16
+# len(pairs) x (panels + SMEARING_PAIR_PANELS) of a smearing demo.  Each
+# pair is one smeared_second_order call over grids of 2 panels + 1 nodes:
+# ~0.33 us and ~85 bytes per panel, and ~115 us per call, which the 512
+# panels per pair stand for.  At the cap, one pair of 2^20 - 512 panels
+# takes 0.30 s and +88 MiB resident memory, 2044 pairs of one panel 0.28 s
+# and +0.1 MiB (runner calls, shared 2-vCPU host, as below).
+SMEARING_MAX_PANELS = 2**20
+SMEARING_PAIR_PANELS = 512
+# (n_max + 1) x grid, the floats of a Picard run's iterate table (each of
+# the delta breakdown's five runs stops at its second iterate, n_max = 2).
+# At the cap, a breakdown at grid 349525 takes 0.11 s and +43 MiB, an
+# exponential at n_max 12, grid 80659 0.02 s and +27 MiB.
+PICARD_MAX_ENTRIES = 2**20
+# n_max of a Picard exponential: its bound column takes one n! per iterate,
+# which grows as n_max^2; at the cap, with grid 1047, the run takes 0.05 s.
+PICARD_MAX_ITERATES = 1000
+# len(n_list) of a dominated demo: each n is a Simpson rule of 2048 panels,
+# ~40 us; at the cap the demo takes 0.33 s and +1 MiB.
+DOMINATED_MAX_N = 2**13
 
 
 def _number_or_list(value, where: str):
@@ -318,8 +343,9 @@ def _run_dyson(cfg: ExperimentConfig):
     spec = ham.HamiltonianSpec.constant(ham.SIGMA1)
     columns = {key: [] for key in
                ("T", "order", "err_partial", "defect_partial", "err_pitaron_expansion")}
-    for T in T_list:
-        exact = mat_exp(-1j * T * ham.SIGMA1)  # constant H: the exact propagator
+    # constant H: the exact propagators, in one stacked call
+    exacts = mat_exp(np.array([-1j * T * ham.SIGMA1 for T in T_list]))
+    for T, exact in zip(T_list, exacts):
         pit = series.general_pitaron_expansion(spec, 0.0, T, panels)
         dyson = series.dyson_u(spec, 0.0, T, max(orders), panels)
         for order in orders:
@@ -450,6 +476,26 @@ def _comb_limit(v: dict, where: str) -> None:
     _trajectory_limit(lambda v: v["dim"])(v, where)
 
 
+def _picard_limit(v: dict, where: str) -> None:
+    n_max = v["n_max"] if v["problem"] == "exponential" else 2
+    entries = (n_max + 1) * v["grid"]
+    if entries > PICARD_MAX_ENTRIES:
+        _fail(f"{where}: (n_max + 1) x grid = {entries} iterate entries, "
+              f"above the cap of {PICARD_MAX_ENTRIES}")
+
+
+def _counterexample_limit(v: dict, where: str) -> None:
+    if v["demo"] == "dominated":
+        if len(v["n_list"]) > DOMINATED_MAX_N:
+            _fail(f"{where}: n_list has {len(v['n_list'])} entries, "
+                  f"above the cap of {DOMINATED_MAX_N}")
+        return
+    work = len(v["pairs"]) * (v["panels"] + SMEARING_PAIR_PANELS)
+    if work > SMEARING_MAX_PANELS:
+        _fail(f"{where}: pairs x (panels + {SMEARING_PAIR_PANELS}) = {work}, "
+              f"above the cap of {SMEARING_MAX_PANELS}")
+
+
 def _dyson_limit(v: dict, where: str) -> None:
     depth = max(2, *v["orders"])  # the Pitaron expansion is a depth-2 pass of its own
     nodes = len(v["T_list"]) * (2 * v["panels"] + 1) ** depth
@@ -478,14 +524,15 @@ KINDS = {
         "orders": _list_of(_integer(0, series.MAX_ORDER), distinct=True), "panels": _COUNT,
     }}, limit=_dyson_limit),
     "picard": _Kind(_run_picard, {
-        "exponential": {"g": _number, "x1": _number, "n_max": _COUNT, "grid": _COUNT},
+        "exponential": {"g": _number, "x1": _number, "n_max": _integer(1, PICARD_MAX_ITERATES),
+                        "grid": _COUNT},
         "delta_breakdown": {"a": _number, "epsilon": _number, "x1": _number, "grid": _COUNT},
-    }, selector="problem"),
+    }, selector="problem", limit=_picard_limit),
     "counterexample": _Kind(_run_counterexample, {
         "smearing": {"t1": _number, "t": _number, "pairs": _list_of(_width_pair),
                      "kind": _choice(*sing.SMEARING_KINDS), "panels": _COUNT},
         "dominated": {"n_list": _list_of(_COUNT)},
-    }, selector="demo"),
+    }, selector="demo", limit=_counterexample_limit),
 }
 
 _CONFIG = {"kind": _choice(*KINDS), "params": _object, "output_path": _output_path,

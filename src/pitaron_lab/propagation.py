@@ -3,10 +3,12 @@
 ``step_propagator`` builds U(t, t0) as an ordered product of short-time
 exponentials with exact kick factors.  ``evolve_trajectory`` steps a
 whole grid of cells by the same route in one pass: one stacked H sample
-and one stacked exponential for all pieces, a fold of the factors across
-cells, and one stacked SVD per block of snapshots; ``step_propagator`` is
-its one-cell case.  Stacks are walked in blocks of ``_BLOCK_BYTES`` per
-operand, the one memory budget of the stepper and the unitarization.
+and one stacked exponential for all pieces, a fold of each cell's
+factors as a balanced product tree (one stacked product per tree level
+across cells), and one stacked SVD per block of snapshots;
+``step_propagator`` is its one-cell case.  Stacks are walked in blocks
+of ``_BLOCK_BYTES`` per operand, the one memory budget of the stepper
+and the unitarization.
 ``pitaron(U)`` forms, from one singular value decomposition of U,
 N = (U U^dagger)^(-1/2), the manifestly unitary P = N @ U and the
 condition number of U, and it fails above ``COND_THRESHOLD``.  It is the
@@ -40,6 +42,7 @@ from .hamiltonian import HamiltonianSpec, SplitHamiltonian
 from .linalg import (
     COND_THRESHOLD,
     HERMITICITY_TOL,
+    _matmul,
     as_matrix,
     as_stack,
     frob,
@@ -198,16 +201,19 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
     The whole grid is stepped as stacks.  The midpoints are sampled in one
     ``sample_stack`` call and the exponents (smooth pieces and kicks -i V)
     exponentiated in one ``mat_exp`` call per block of ``_BLOCK_BYTES``.
-    Cells with the same number of factors are folded together, later
-    factors on the left: c = f[:, j] @ c over the factor index j.  That is
-    each cell's own left-to-right order, and ``mat_exp`` and a stacked
-    ``@`` give each matrix the bits it has alone, so every product is
-    bit-identical to a sequential fold of its cell.
+    Cells with the same number of factors are folded together by
+    ``_fold``, each as the same balanced product tree of its factors in
+    time order (later factors on the left): one stacked product per tree
+    level, O(log n) calls for n factors per cell.  ``mat_exp`` and
+    ``linalg._matmul`` give each matrix the bits it has alone, so every
+    product is bit-identical to the same tree over its cell alone,
+    whatever the block size, and within rounding of a sequential fold.
 
     A constant spec (``spec.constant_matrix`` set) exponentiates each
     distinct piece width and each kick once, and multiplies out each
     distinct sequence of factors once; the memo belongs to this call.
-    Overflow while exponentiating or folding raises ``FloatingPointError``.
+    Overflow while exponentiating or folding, or an exponent outside
+    ``mat_exp``'s accuracy domain, raises ``FloatingPointError``.
     There are at most ``len(grid)`` products, and ``products`` is a stack
     of that many matrices whatever their count, so that
     ``evolve_trajectory`` can reuse it as its N stack.
@@ -263,19 +269,50 @@ def _distinct_rows(rows: np.ndarray):
 
 
 def _fold(factors, rows: np.ndarray, block: int, out: np.ndarray) -> None:
-    """out[r] = factors(rows[r, -1]) @ ... @ factors(rows[r, 0]), in blocks of ``block`` factors."""
+    """out[r] = factors(rows[r, -1]) @ ... @ factors(rows[r, 0]), as a balanced product tree.
+
+    Each row of n factors is cut into aligned runs of 2^k factors, one per
+    binary digit of n, longest first; a run is multiplied out level by
+    level, adjacent pairs with the later factor on the left, and the runs
+    are multiplied together from the shortest up.  The rows are walked in
+    blocks of at most ``block`` factors: spans of a power of two of them
+    per row, whose products are merged as a binary counter, so the tree
+    and hence the bits do not depend on ``block``.  Each level is one
+    ``_matmul`` call on the whole stack of pairs.
+    """
     dim = out.shape[-1]
     height = min(len(rows), block)
-    span = max(1, block // height)
+    span = 1 << (max(1, block // height).bit_length() - 1)
     with np.errstate(over="raise", invalid="raise"):
         for r in range(0, len(rows), height):
-            c = None
+            runs = []  # (length, product) of the aligned runs so far, longest first
             for lo in range(0, rows.shape[1], span):
                 ids = rows[r:r + height, lo:lo + span]
                 f = factors(ids.ravel()).reshape(*ids.shape, dim, dim)
-                for j in range(ids.shape[1]):
-                    c = f[:, j] if c is None else f[:, j] @ c
+                for length, p in _runs(f):
+                    while runs and runs[-1][0] == length:
+                        p = _matmul(p, runs.pop()[1])
+                        length *= 2
+                    runs.append((length, p))
+            c = runs.pop()[1]
+            while runs:
+                c = _matmul(c, runs.pop()[1])
             out[r:r + height] = c
+
+
+def _runs(f: np.ndarray) -> list:
+    """(length, product) of the aligned runs of 2^k of the factors ``f[:, j]``, longest first."""
+    runs = []
+    length = 1
+    while True:
+        m = f.shape[1]
+        if m % 2:
+            runs.append((length, f[:, -1]))
+        if m < 2:
+            return runs[::-1]
+        even = m - m % 2
+        f = _matmul(f[:, 1:even:2], f[:, 0:even:2])
+        length *= 2
 
 
 def _check_interval(spec: HamiltonianSpec, t0: float, t: float) -> None:
@@ -466,10 +503,10 @@ def evolve_trajectory(
 
     The trajectory is stepped in one pass over all its cells: one
     stacked H sample and one stacked exponential for every piece of every
-    cell, a fold of the cells' factors across cells, then the sequential
-    scan above (see ``_cell_products``).  A constant spec exponentiates
-    each distinct substep width once and multiplies out each distinct
-    cell once, in a memo dropped on return.  The snapshots are
+    cell, a balanced product tree of each cell's factors folded across
+    cells, then the sequential scan above (see ``_cell_products``).  A
+    constant spec exponentiates each distinct substep width once and
+    multiplies out each distinct cell once, in a memo dropped on return.  The snapshots are
     unitarized by one stacked SVD per block, which writes N and P into
     the trajectory's stacks and reduces the diagnostics in the block.
     Stacks of factors and of snapshots are walked in blocks of

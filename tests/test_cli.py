@@ -76,6 +76,19 @@ BREAKDOWN_CONFIG = {
     "params": {"problem": "delta_breakdown", "a": 0.5, "epsilon": 0.01, "x1": 1.0, "grid": 8001},
 }
 
+SMEARING_CONFIG = {
+    "kind": "counterexample",
+    "output_path": "smearing_run",
+    "params": {"demo": "smearing", "t1": 1.0, "t": 2.0, "kind": "gaussian", "panels": 8,
+               "pairs": [[0.2, 0.3]]},
+}
+
+PICARD_EXP_CONFIG = {
+    "kind": "picard",
+    "output_path": "picard_run",
+    "params": {"problem": "exponential", "g": 1.0, "x1": 1.0, "n_max": 3, "grid": 64},
+}
+
 # 2^63 is no int64: through np.asarray the n column would turn to floats
 BIG_N_CONFIG = {
     "kind": "counterexample",
@@ -341,8 +354,8 @@ class TestMainEntryPoint:
         assert "numerical failure" in capsys.readouterr().err
         assert not list(tmp_path.glob("big.*"))
 
-    # f1 = 1e100: H is well inside the float range, but the squarings of
-    # exp(-i H dt) overflow
+    # f1 = 1e100: H is well inside the float range, but exp(-i H dt) would
+    # need ~330 squarings, far outside mat_exp's accuracy domain
     OVERFLOWING_DRIVE = {
         "kind": "evolve",
         "output_path": "huge",
@@ -504,6 +517,46 @@ class TestMainEntryPoint:
                              strengths=[0.1] * 16, times=[0.25 * k for k in range(1, 17)])
         assert main(["run", str(write_config(tmp_path, "cap.json", config)),
                      "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("config, message", [
+        # len(pairs) x (panels + 512) above 2^20
+        (with_params(SMEARING_CONFIG, panels=2**20 - 511), "= 1048577, above the cap"),
+        (with_params(SMEARING_CONFIG, panels=1, pairs=[[50.0, 60.0]] * 2045),
+         "= 1049085, above the cap"),
+        # (n_max + 1) x grid above 2^20, and n_max above 1000
+        (with_params(PICARD_EXP_CONFIG, n_max=12, grid=80660), "1048580 iterate entries"),
+        (with_params(BREAKDOWN_CONFIG, grid=349526), "1048578 iterate entries"),
+        (with_params(PICARD_EXP_CONFIG, n_max=1001, grid=64), "integer in [1, 1000]"),
+        (with_params(BIG_N_CONFIG, n_list=list(range(1, 8194))), "8193 entries"),
+    ], ids=["smearing-panels", "smearing-pairs", "picard-exponential", "picard-breakdown",
+            "picard-iterates", "dominated"])
+    def test_work_beyond_a_cap_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                           config, message):
+        path = write_config(tmp_path, "cap.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    @pytest.mark.parametrize("config", [
+        with_params(SMEARING_CONFIG, panels=1, pairs=[[50.0, 60.0]] * 2044),
+        with_params(PICARD_EXP_CONFIG, n_max=1000, grid=1047),
+        with_params(BREAKDOWN_CONFIG, grid=349525),
+        with_params(BIG_N_CONFIG, n_list=list(range(1, 8193))),
+    ], ids=["smearing", "picard-exponential", "picard-breakdown", "dominated"])
+    def test_work_at_the_caps_runs(self, tmp_path, config):
+        assert main(["run", str(write_config(tmp_path, "cap.json", config)),
+                     "--out", str(tmp_path)]) == 0
+
+    def test_exponential_beyond_the_accuracy_domain_exits_three(self, tmp_path, capsys):
+        # Hermitian, so U is unitary; 53 squarings would report defect_U 0.35 with exit 0
+        matrix = [[[1e16, 0], [3e15, 0]], [[3e15, 0], [-1e16, 0]]]
+        config = with_params(CONSTANT_CONFIG, matrix=matrix, t0=0, t1=1, grid_points=3,
+                             steps_per_cell=1, psi0=[[1, 0], [0, 0]])
+        path = write_config(tmp_path, "huge.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "accuracy domain" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
     def test_jobs_fan_out(self, tmp_path, capsys):
         p1 = write_config(tmp_path, "one.json", PAULI_CONFIG)

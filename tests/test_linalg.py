@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pitaron_lab.linalg as linalg
+from pitaron_lab.hamiltonian import SIGMA1, SIGMA2, SIGMA3, dirac_comb_spec, pauli_hamiltonian
 from pitaron_lab.linalg import (
     as_matrix,
     frob,
@@ -11,11 +13,18 @@ from pitaron_lab.linalg import (
     simpson_pattern,
     unitarity_defect,
 )
-from pitaron_lab.propagation import pitaron
+from pitaron_lab.propagation import evolve_trajectory, pitaron, step_propagator
 
-from oracles import lyapunov_quadrature, random_ginibre, random_pd, random_unitary, series_exp
+from oracles import (
+    lyapunov_quadrature,
+    random_ginibre,
+    random_pd,
+    random_unitary,
+    series_exp,
+    stepped_propagator,
+)
 
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+EPS = np.finfo(float).eps
 
 
 class TestValidation:
@@ -141,13 +150,111 @@ class TestMatExpStack:
             mat_exp(np.zeros(3))
 
     def test_overflowing_squarings_raise(self):
-        # ||A||_1 = 2e98: ~330 squarings, whose rounding errors grow past the float range
+        # ||A||_1 = 2e98 would take ~330 squarings, far outside the accuracy domain
         with pytest.raises(FloatingPointError):
             mat_exp(np.stack([np.eye(2), -1e98j * SIGMA1]))
 
     def test_empty_stack(self):
         out = mat_exp(np.zeros((0, 3, 3)))
         assert out.shape == (0, 3, 3)
+
+    def test_the_accuracy_domain_ends_at_21_squarings(self):
+        # ||A||_1 = 2^20 takes 21 squarings; the next float above it takes 22
+        edge = np.ldexp(1.0, 20)
+        assert unitarity_defect(mat_exp([[1j * edge]])) < 1e-9
+        beyond = np.stack([np.eye(2), 1j * np.nextafter(edge, np.inf) * np.eye(2)])
+        with pytest.raises(FloatingPointError, match="accuracy domain"):
+            mat_exp(beyond)
+
+    def test_overflow_inside_the_domain_raises(self):
+        # e^800 is beyond the float range; 800 needs 11 squarings
+        with pytest.raises(FloatingPointError):
+            mat_exp(800.0 * np.eye(2))
+
+
+PAULI = np.array([SIGMA1, SIGMA2, SIGMA3])
+
+
+def _pauli_generators(rng, count):
+    """Generators -i H, H = h0 1 + theta n.sigma, and their closed form exp(-iH).
+
+    exp(-iH) = e^(-i h0) (cos theta 1 - i sin theta n.sigma).  theta
+    spreads over 1e-9 .. 63, so the Taylor degrees 1..14 and up to 9
+    squarings all occur; |h0| <= theta.
+    """
+    n = rng.standard_normal((count, 3))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    theta = 10.0 ** rng.uniform(-9, 1.8, count)
+    h0 = theta * rng.uniform(-1, 1, count)
+    n_sigma = np.einsum("ki,ijl->kjl", n, PAULI)
+    generators = -1j * (h0[:, None, None] * np.eye(2) + theta[:, None, None] * n_sigma)
+    exact = np.exp(-1j * h0)[:, None, None] * (
+        np.cos(theta)[:, None, None] * np.eye(2) - 1j * np.sin(theta)[:, None, None] * n_sigma)
+    return generators, exact
+
+
+def _squarings(stack):
+    mantissa, exponent = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1))
+    return np.maximum(exponent + (mantissa > 0.5), 0)
+
+
+class TestSmallDimensionKernel:
+    """The entrywise products of dims 1 and 2 against closed forms, oracles and the @ route."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_closed_form_accuracy_against_the_matmul_route(self, rng, monkeypatch, dim):
+        generators, exact = _pauli_generators(rng, 4000)
+        if dim == 1:  # one level: -i (h0 + theta n_3), exponentiated by np.exp
+            generators = generators[:, :1, :1]
+            exact = np.exp(generators)
+        errors = {}
+        for route in ("entrywise", "matmul"):
+            if route == "matmul":
+                monkeypatch.setattr(linalg, "_matmul", np.matmul)
+            out = mat_exp(generators)
+            errors[route] = (np.linalg.norm(out - exact, axis=(-2, -1))
+                             / np.linalg.norm(exact, axis=(-2, -1)))
+        squarings = _squarings(generators)
+        # each squaring doubles the rounding error; both routes stay in one envelope
+        for err in errors.values():
+            assert (err <= 2.0 ** (squarings + 1) * EPS).all()
+        # on average the routes agree to a few percent: the entrywise squaring
+        # rounds each entry once more than zgemm's fused chain
+        assert errors["entrywise"].mean() <= 1.1 * errors["matmul"].mean()
+
+    def test_degrees_and_squarings_all_occur(self, rng):
+        generators, _ = _pauli_generators(rng, 4000)
+        squarings = _squarings(generators)
+        scaled = np.abs(generators).sum(axis=-2).max(axis=-1) * 2.0 ** -squarings
+        degrees = 1 + np.searchsorted(linalg._EXP_THETA, scaled)
+        assert set(degrees.tolist()) == set(range(1, 15))
+        assert squarings.max() >= 8
+
+    def test_small_norms_match_the_series_oracle(self, rng):
+        generators, _ = _pauli_generators(rng, 400)
+        small = generators[np.linalg.norm(generators, 2, axis=(-2, -1)) <= 1.0]
+        assert len(small) > 100
+        for a, e in zip(small, mat_exp(small)):
+            assert frob(e - series_exp(a)) <= 1e-14 * frob(series_exp(a))
+        for a, e in zip(small[:, :1, :1], mat_exp(small[:, :1, :1])):
+            assert frob(e - series_exp(a)) <= 1e-14 * frob(series_exp(a))
+
+    def test_pauli_drive_matches_the_reference_stepper(self):
+        spec = pauli_hamiltonian(np.cos, np.sin, 0.3)
+        traj = evolve_trajectory(spec, 0.0, 2.0, 21, 100)
+        u = np.eye(2, dtype=complex)
+        for a, b, snap_u in zip(traj.grid[:-1], traj.grid[1:], traj.U[1:]):
+            u = stepped_propagator(spec.sample, [], a, b, 100, 2) @ u
+            assert frob(snap_u - u) <= 1e-13 * frob(u)
+
+    def test_dim_one_comb_matches_the_reference_stepper(self, rng):
+        times = np.sort(rng.uniform(0.01, 2.0, 300))
+        strengths = rng.uniform(-1.5, 1.5, 300)
+        spec = dirac_comb_spec(strengths, times, 1)
+        kicks = [(k.time, k.strength) for k in spec.kicks]
+        u = step_propagator(spec, 0.0, 2.0, 4)
+        expected = stepped_propagator(None, kicks, 0.0, 2.0, 4, 1)
+        assert abs(u[0, 0] - expected[0, 0]) <= 1e-13
 
 
 class TestPolarUnitaryFactor:

@@ -17,7 +17,7 @@ from pitaron_lab.hamiltonian import (
     nhse_hamiltonian,
     pauli_hamiltonian,
 )
-from pitaron_lab.linalg import frob, mat_exp
+from pitaron_lab.linalg import _matmul, frob, mat_exp
 from pitaron_lab.propagation import (
     evolve_trajectory,
     general_n_rhs,
@@ -594,3 +594,34 @@ class TestStackedStepper:
         spec = HamiltonianSpec(dim=2, kicks=[Kick(time=1.0, strength=SIGMA1)])
         assert np.array_equal(step_propagator(spec, 1.5, 3.0, 8), np.eye(2))
         assert calls == []
+
+
+def _tree_product(f):
+    """The canonical tree of the factors f[0], f[1], ... (later on the left), by recursion.
+
+    The first aligned run is the largest power of two below the count;
+    it is multiplied out as two halves, and the rest by the same rule.
+    """
+    if len(f) == 1:
+        return f[0]
+    split = 1 << ((len(f) - 1).bit_length() - 1)
+    return _matmul(_tree_product(f[split:]), _tree_product(f[:split]))
+
+
+class TestFoldTree:
+    """``_fold`` multiplies each row as one balanced tree, whatever the block."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_row_is_the_canonical_tree(self, rng, dim, budget):
+        table = np.array([random_unitary(rng, dim) for _ in range(64)])
+        for count in range(1, 41):
+            rows = rng.integers(0, len(table), size=(4, count))
+            out = np.empty((len(rows), dim, dim), dtype=complex)
+            propagation._fold(table.__getitem__, rows, budget, out)
+            for row, product in zip(rows, out):
+                assert np.array_equal(product, _tree_product(table[row]))
+                sequential = table[row[0]]
+                for i in row[1:]:
+                    sequential = table[i] @ sequential
+                assert frob(product - sequential) <= 8 * count * EPS * dim

@@ -1,18 +1,21 @@
 """Property tests of the stacked kernels and the unitarization claim.
 
-The stacked forms (``frob_stack``, ``z_factor`` of a stack, the array form
-of ``comb_truncated_norm``) must give every entry the bits of the
-one-matrix or scalar call, whatever the stack around it; the arrays are
-drawn from a seed so that a failing example names a reproducible stack.
+The stacked forms (``frob_stack``, ``z_factor`` of a stack, the kernel's
+product ``_matmul``, the array form of ``comb_truncated_norm``) must give
+every entry the bits of the one-matrix or scalar call, whatever the stack
+around it; the arrays are drawn from a seed so that a failing example
+names a reproducible stack.  ``mat_exp`` of a Hermitian generator keeps
+its stated unitarity budget, or raises beyond its accuracy domain.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitaron_lab.linalg import frob, frob_stack
+from pitaron_lab.linalg import _matmul, frob, frob_stack, mat_exp, unitarity_defect
 from pitaron_lab.propagation import pitaron, z_factor
 from pitaron_lab.singular_dynamics import StepFunction, comb_truncated_norm
 
@@ -62,6 +65,34 @@ def test_stacked_z_factor_has_the_bits_of_one_matrix(u, seed):
     assert ratios.shape == u.shape[:-2]
     for ratio, matrix in zip(ratios.tolist(), u):
         assert ratio == z_factor(matrix, psi)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), n=st.integers(1, 4),
+       view=st.sampled_from(sorted(VIEWS)))
+def test_stacked_product_has_the_bits_of_one_matrix(seed, k, n, view):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-50, 50, size=(2, k, 1, 1))
+    a, b = (VIEWS[view](m) for m in
+            (rng.standard_normal((2, k, n, n)) + 1j * rng.standard_normal((2, k, n, n))) * scale)
+    products = _matmul(a, b)
+    for product, x, y in zip(products, a, b):
+        assert np.array_equal(product, _matmul(x, y))
+        assert frob(product - x @ y) <= 4 * n * EPS * frob(np.abs(x) @ np.abs(y))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 16), log2_norm=st.floats(-30.0, 24.0))
+def test_hermitian_exponential_keeps_its_budget_or_raises(seed, dim, log2_norm):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = g + g.conj().T
+    a = -1j * h * (2.0**log2_norm / np.abs(h).sum(axis=0).max())
+    if np.abs(a).sum(axis=0).max() > 2.0**20:
+        with pytest.raises(FloatingPointError, match="accuracy domain"):
+            mat_exp(a)
+    else:
+        assert unitarity_defect(mat_exp(a)) <= 1e-9 * dim
 
 
 @PROPERTY
