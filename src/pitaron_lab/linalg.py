@@ -160,11 +160,11 @@ def mat_exp(a) -> np.ndarray:
     at the smallest degree 1 <= m_k <= 14 whose first omitted term
     ||A_k / 2^s_k||_1^(m+1) / (m+1)! is at most 2^-53, and the result is
     squared s_k times.  The stack is validated once (square, dim >= 1,
-    finite) and each degree group runs Horner on its sub-stack; the
-    products of Horner and of the squarings are ``_matmul`` calls, which
-    take the same route for one matrix as for a stack, so
-    ``mat_exp(stack)[k]`` equals ``mat_exp(stack[k])`` bit for bit
-    whatever else is in the stack.
+    finite) and Horner's rule runs once over the whole stack, each matrix
+    entering at its own degree; the products of Horner and of the
+    squarings are ``_matmul`` calls, which take the same route for one
+    matrix as for a stack, so ``mat_exp(stack)[k]`` equals
+    ``mat_exp(stack[k])`` bit for bit whatever else is in the stack.
 
     Accuracy domain: s_k <= ``_EXP_MAX_SQUARINGS`` = 21, i.e. ||A_k||_1 <=
     2^20.  Each squaring doubles the rounding error; for a Hermitian H of
@@ -189,10 +189,7 @@ def mat_exp(a) -> np.ndarray:
         )
     scaled = stack * np.ldexp(1.0, -squarings)[:, None, None]
     degrees = 1 + np.searchsorted(_EXP_THETA, np.ldexp(mantissa, exponent - squarings))
-    out = np.empty_like(scaled)
-    for degree in set(degrees.tolist()):
-        group = degrees == degree
-        out[group] = _taylor_horner(scaled[group], degree)
+    out = _taylor_horner(scaled, degrees)
     with np.errstate(over="raise", invalid="raise"):
         for j in range(int(squarings.max(initial=0))):
             group = squarings > j
@@ -201,17 +198,32 @@ def mat_exp(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _taylor_horner(a: np.ndarray, degree: int) -> np.ndarray:
-    """sum_{k <= degree} A^k / k! as I + A (I + A/2 (... (I + A/degree)))."""
+def _taylor_horner(a: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """sum_{k <= m} A^k / k! as I + A (I + A/2 (... (I + A/m))), m = degrees[i] for a[i].
+
+    One pass over k = max(degrees) .. 1 serves every degree: step k starts
+    the matrices of degree k at I + A/k and takes those of higher degree
+    from p to I + A p / k, so each matrix gets exactly the operations of
+    its own Horner loop, and a step costs one ``_matmul`` call however
+    many degrees the stack holds.  Sorted by degree, highest first, the
+    matrices inside the loop are a prefix of the stack.
+    """
+    order = np.argsort(-degrees, kind="stable")
+    a = a[order]
+    # at_least[k]: the number of matrices of degree >= k
+    at_least = np.cumsum(np.bincount(degrees, minlength=2)[::-1])[::-1].tolist() + [0]
     eye = np.eye(a.shape[-1])
-    # in place, so a step holds one product besides p: same bits, less memory
-    p = a / degree
-    p += eye
-    for k in range(degree - 1, 0, -1):
-        p = _matmul(a, p)
-        p /= k
-        p += eye
-    return p
+    p = np.empty_like(a)
+    for k in range(len(at_least) - 2, 0, -1):
+        inside, start = at_least[k + 1], at_least[k]
+        if inside:
+            p[:inside] = _matmul(a[:inside], p[:inside])
+        p[inside:start] = a[inside:start]
+        p[:start] /= k
+        p[:start] += eye
+    out = np.empty_like(p)
+    out[order] = p
+    return out
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
