@@ -143,16 +143,16 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 DYSON_MAX_NODES = 10**7
 # The largest matrix or state of any config: nhse l, comb dim, a constant matrix, psi0.
 MAX_DIM = 64
-# grid_points x steps_per_cell of a trajectory.  At the cap, one cell of
-# 2*10^4 pieces takes 1.6 s and +5 MiB resident memory at dim 64 (nhse
-# l=64, each piece a 64x64 product) and 0.14 s at dim 2 (Pauli drive);
-# 2*10^4 one-piece Pauli cells take 0.5 s and +8 MiB, the trajectory's
-# traced peak; the CSV's Python values take 3 MiB after it (runner calls,
-# shared 2-vCPU host).
+# grid_points x steps_per_cell of a trajectory.  Only a Pauli drive (dim 2)
+# steps that many pieces: at the cap, one cell of 10^4 pieces takes 0.01 s
+# and +2 MiB resident memory, 2*10^4 one-piece cells 0.2-0.4 s and +8 MiB;
+# the CSV's Python values take 3 MiB after it (runner calls, shared 2-vCPU
+# host).  A constant spec (constant model, nhse) is one exponential per
+# cell whatever steps_per_cell is, and a comb steps only its kicks.
 TRAJECTORY_MAX_PIECES = 2 * 10**4
 # grid_points x dim^2, the entries of each of the U, N and P stacks
-# (16 bytes each): at the cap, 128 snapshots of an l=64 chain take 0.55 s
-# and +29 MiB resident memory, most of it those stacks.
+# (16 bytes each): at the cap, 128 snapshots of an l=64 chain take 0.25 s
+# and +25 MiB resident memory, most of it those stacks.
 SNAPSHOT_MAX_ENTRIES = 2**19
 # len(strengths) x dim^2, the entries of a comb's kick matrices; a kick also
 # costs ~25 us and ~400 bytes of Python objects at any dim.  At the cap,

@@ -65,8 +65,8 @@ class HamiltonianSpec:
     A time-independent smooth part is best built with
     ``HamiltonianSpec.constant``: the matrix is validated once, stored as
     a read-only copy in ``constant_matrix`` and broadcast by
-    ``sample_stack`` without further checks, and the stepper
-    exponentiates each distinct step width of such a spec only once.
+    ``sample_stack`` without further checks, and the stepper takes one
+    exponential per cell between kicks, each distinct width only once.
     ``smooth`` is still a callable returning it.
     """
 

@@ -93,11 +93,21 @@ def error_bound(M: float, Nlip: float, h: float, n: int) -> float:
     """A-priori bound M N^(n-1) h^n / n! on the n-th iterate's error.
 
     M bounds |f| and Nlip bounds |df/dy| on the domain rectangle; h is
-    the interval radius min(a, b/M).
+    the interval radius min(a, b/M).  Where that float form overflows
+    (n! is beyond the float range from n = 171 on, and N^(n-1) or h^n can
+    be), the bound is taken in log space, log n! = lgamma(n + 1), so it
+    stays finite (or underflows to 0) as n grows; a bound that is itself
+    beyond the float range raises ``OverflowError``.
     """
     if min(M, Nlip, h) <= 0 or n < 1:
         raise ValueError("bound parameters must be positive and n >= 1")
-    return M * Nlip ** (n - 1) * h**n / math.factorial(n)
+    if n <= 170:  # 171! is beyond the float range
+        try:
+            return M * Nlip ** (n - 1) * h**n / math.factorial(n)
+        except OverflowError:
+            pass
+    return math.exp(math.log(M) + (n - 1) * math.log(Nlip) + n * math.log(h)
+                    - math.lgamma(n + 1))
 
 
 @dataclass(frozen=True)

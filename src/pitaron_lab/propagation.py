@@ -6,9 +6,11 @@ whole grid of cells by the same route in one pass: one stacked H sample
 and one stacked exponential for all pieces, a fold of each cell's
 factors as a balanced product tree (one stacked product per tree level
 across cells), and one stacked SVD per block of snapshots;
-``step_propagator`` is its one-cell case.  Stacks are walked in blocks
-of ``_BLOCK_BYTES`` per operand, the one memory budget of the stepper
-and the unitarization.
+``step_propagator`` is its one-cell case.  A constant H needs no
+substeps, exp(-i H (s + t)) = exp(-i H s) exp(-i H t), so each of its
+cells is one exponential between kicks.  Stacks are walked in blocks of
+``_BLOCK_BYTES`` per operand, the one memory budget of the stepper and
+the unitarization.
 ``pitaron(U)`` forms, from one singular value decomposition of U,
 N = (U U^dagger)^(-1/2), the manifestly unitary P = N @ U and the
 condition number of U, and it fails above ``COND_THRESHOLD``.  It is the
@@ -189,14 +191,18 @@ def _exponentials(spec: HamiltonianSpec, width, mid, kick, kick_exponents) -> np
     return mat_exp(exponents)
 
 
-def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
-    """Time-ordered product of every cell (grid[c], grid[c + 1]]: ``products[which[c]]``.
+def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int) -> np.ndarray:
+    """Time-ordered product of every cell (grid[c], grid[c + 1]]: ``products[c + 1]``.
 
     Uniform pieces of width (grid[c + 1] - grid[c]) / steps are split at
     interior kick times; each smooth piece contributes exp(-i H(midpoint)
     dt), second order accurate, and each kick the exact factor exp(-i V)
     right after the evolution reaching its instant.  A cell with neither
-    a smooth part nor a kick is the identity, ``products[0]``.
+    a smooth part nor a kick is the identity, as is ``products[0]``.
+    A constant spec (``spec.constant_matrix`` set) is exact with one piece
+    per cell, so its cells are split only at their kicks whatever
+    ``steps`` (at least 1) is, and each distinct width and each kick is
+    exponentiated once, in a table that belongs to this call.
 
     The whole grid is stepped as stacks.  The midpoints are sampled in one
     ``sample_stack`` call and the exponents (smooth pieces and kicks -i V)
@@ -208,34 +214,29 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
     ``linalg._matmul`` give each matrix the bits it has alone, so every
     product is bit-identical to the same tree over its cell alone,
     whatever the block size, and within rounding of a sequential fold.
-
-    A constant spec (``spec.constant_matrix`` set) exponentiates each
-    distinct piece width and each kick once, and multiplies out each
-    distinct sequence of factors once; the memo belongs to this call.
     Overflow while exponentiating or folding, or an exponent outside
     ``mat_exp``'s accuracy domain, raises ``FloatingPointError``.
-    There are at most ``len(grid)`` products, and ``products`` is a stack
-    of that many matrices whatever their count, so that
+    ``products`` is a stack of ``len(grid)`` matrices, so that
     ``evolve_trajectory`` can reuse it as its N stack.
     """
-    count, width, mid, kick = _layout(spec, grid, steps)
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    constant = spec.constant_matrix is not None
+    count, width, mid, kick = _layout(spec, grid, 1 if constant else steps)
     dim, block = spec.dim, _block(spec.dim)
     kick_exponents = -1j * np.array([k.strength for k in spec.kicks]).reshape(-1, dim, dim)
-    if spec.constant_matrix is None:
+    if not constant:
         ids = np.arange(len(kick))
 
         def factors(i):
             return _exponentials(spec, width[i], mid[i], kick[i], kick_exponents)
     else:
-        # a table of the distinct factors: each distinct piece width, then each kick
-        piece = kick < 0
+        # a table of the distinct factors: each distinct piece width and each kick
         distinct: dict = {}
-        ids = np.empty(len(kick), dtype=int)
-        ids[piece] = [distinct.setdefault(w, len(distinct)) for w in width[piece].tolist()]
-        ids[~piece] = len(distinct) + np.arange(np.count_nonzero(~piece))
-        entry_width = np.concatenate([list(distinct), width[~piece]])
-        entry_kick = np.concatenate([np.full(len(distinct), -1), kick[~piece]])
-        table = np.empty((len(entry_kick), dim, dim), dtype=np.complex128)
+        ids = np.array([distinct.setdefault(f, len(distinct))
+                        for f in zip(width.tolist(), kick.tolist())], dtype=int)
+        entry_width, entry_kick = (np.array(column) for column in zip(*distinct))
+        table = np.empty((len(distinct), dim, dim), dtype=np.complex128)
         for lo in range(0, len(table), block):
             w, k = entry_width[lo:lo + block], entry_kick[lo:lo + block]
             # a constant H is the same at any time, so the widths serve as times
@@ -243,33 +244,17 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
         factors = table.__getitem__
 
     start = np.cumsum(count) - count
-    which = np.zeros(len(count), dtype=int)
-    groups = []
-    size = 1
+    products = np.empty((len(grid), dim, dim), dtype=np.complex128)
+    products[np.concatenate([[True], count == 0])] = np.eye(dim)  # entry 0, empty cells
     # not np.unique: on a first call it imports numpy.ma, ~25 ms
     for n in sorted(set(count.tolist()) - {0}):
         cells = np.flatnonzero(count == n)
-        rows, inverse = _distinct_rows(ids[start[cells][:, None] + np.arange(n)])
-        which[cells] = size + inverse
-        groups.append((size, rows))
-        size += len(rows)
-    products = np.empty((len(grid), dim, dim), dtype=np.complex128)
-    products[0] = np.eye(dim)
-    for at, rows in groups:
-        _fold(factors, rows, block, products[at:at + len(rows)])
-    return products, which
+        _fold(factors, ids[start[cells][:, None] + np.arange(n)], block, products, cells + 1)
+    return products
 
 
-def _distinct_rows(rows: np.ndarray):
-    """The distinct rows of ``rows`` in order of appearance, and each row's index among them."""
-    first: dict = {}
-    at = [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
-    keep = list(first.values())
-    return rows[keep], np.searchsorted(keep, at)
-
-
-def _fold(factors, rows: np.ndarray, block: int, out: np.ndarray) -> None:
-    """out[r] = factors(rows[r, -1]) @ ... @ factors(rows[r, 0]), as a balanced product tree.
+def _fold(factors, rows: np.ndarray, block: int, out: np.ndarray, at: np.ndarray) -> None:
+    """out[at[r]] = factors(rows[r, -1]) @ ... @ factors(rows[r, 0]), as a balanced product tree.
 
     Each row of n factors is cut into aligned runs of 2^k factors, one per
     binary digit of n, longest first; a run is multiplied out level by
@@ -297,7 +282,7 @@ def _fold(factors, rows: np.ndarray, block: int, out: np.ndarray) -> None:
             c = runs.pop()[1]
             while runs:
                 c = _matmul(c, runs.pop()[1])
-            out[r:r + height] = c
+            out[at[r:r + height]] = c
 
 
 def _runs(f: np.ndarray) -> list:
@@ -329,14 +314,12 @@ def step_propagator(spec: HamiltonianSpec, t0: float, t: float, steps: int) -> n
     """U(t, t0) over ``steps`` uniform substeps with exact kick factors.
 
     Second order accurate in the substep width for smooth parts and exact
-    for pure-kick specs.  A kick exactly at t0 violates the half-open
+    for pure-kick specs; a constant spec is one exponential between kicks
+    whatever ``steps`` is.  A kick exactly at t0 violates the half-open
     kick convention and is rejected.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
     _check_interval(spec, t0, t)
-    products, which = _cell_products(spec, np.array([t0, t], dtype=float), steps)
-    return products[which[0]]
+    return _cell_products(spec, np.array([t0, t], dtype=float), steps)[1]
 
 
 def _as_propagator(u) -> np.ndarray:
@@ -505,13 +488,15 @@ def evolve_trajectory(
     stacked H sample and one stacked exponential for every piece of every
     cell, a balanced product tree of each cell's factors folded across
     cells, then the sequential scan above (see ``_cell_products``).  A
-    constant spec exponentiates each distinct substep width once and
-    multiplies out each distinct cell once, in a memo dropped on return.  The snapshots are
-    unitarized by one stacked SVD per block, which writes N and P into
-    the trajectory's stacks and reduces the diagnostics in the block.
-    Stacks of factors and of snapshots are walked in blocks of
-    ``_BLOCK_BYTES`` per operand; beside the U, N and P stacks a call
-    holds one product per distinct cell and a few numbers per piece.
+    constant spec takes one exponential per cell between kicks, so
+    ``steps_per_cell`` (still at least 1) does not change its U; each
+    distinct cell width is exponentiated once, in a table dropped on
+    return.  The snapshots are unitarized by one stacked SVD per block,
+    which writes N and P into the trajectory's stacks and reduces the
+    diagnostics in the block.  Stacks of factors and of snapshots are
+    walked in blocks of ``_BLOCK_BYTES`` per operand; beside the U, N and
+    P stacks a call holds a few numbers per piece (and a constant spec
+    its table).
     Every snapshot is bit-identical to ``pitaron`` of
     ``step_propagator`` of its cell times the snapshot before it, and the
     first snapshot that fails raises as ``pitaron`` would; an overflow
@@ -528,13 +513,13 @@ def evolve_trajectory(
 
     # the stack of cell products becomes the N stack once the scan has read it: that
     # spares the SVD blocks a fresh stack where the products' memory would lie idle
-    n, which = _cell_products(spec, grid, steps_per_cell)
+    n = _cell_products(spec, grid, steps_per_cell)
     u = np.empty_like(n)
     u[0] = np.eye(spec.dim)
     # an overflow here leaves a non-finite snapshot, reported in snapshot order below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, cell in enumerate(which.tolist()):
-            u[k + 1] = n[cell] @ u[k]
+        for k in range(grid_points - 1):
+            u[k + 1] = n[k + 1] @ u[k]
     p = np.empty_like(u)
     block = _block(spec.dim)
     columns = [_unitarize(u[lo:lo + block], n[lo:lo + block], p[lo:lo + block])

@@ -452,6 +452,21 @@ class TestMainEntryPoint:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert not list(tmp_path.glob("growth.*"))
 
+    def test_picard_bound_beyond_the_float_factorial_is_finite(self, tmp_path):
+        # n! is no float from n = 171 on, yet M N^(n-1) h^n / n! tends to 0
+        config = {
+            "kind": "picard",
+            "output_path": "long",
+            "params": {"problem": "exponential", "g": 1.0, "x1": 1.0, "n_max": 300,
+                       "grid": 101},
+        }
+        path = write_config(tmp_path, "picard_long.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "long.csv")
+        bounds = [float(row["bound"]) for row in rows[1:]]
+        assert len(bounds) == 300 and np.isfinite(bounds).all()
+        assert bounds[170] < bounds[169]
+
     def test_library_value_error_exits_two_and_later_configs_run(self, tmp_path, capsys):
         bad = json.loads(json.dumps(PAULI_CONFIG))
         bad["output_path"] = "backwards"
@@ -557,6 +572,19 @@ class TestMainEntryPoint:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "accuracy domain" in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    def test_constant_cell_beyond_the_accuracy_domain_exits_three(self, tmp_path, capsys):
+        # a constant cell is one exponential of width x H whatever steps_per_cell is:
+        # 100 x ||H||_1 = 1.3e7 lies beyond 2^20; 13 cells of width 7.7 lie inside it
+        matrix = [[[1e5, 0], [3e4, 0]], [[3e4, 0], [-1e5, 0]]]
+        config = with_params(CONSTANT_CONFIG, matrix=matrix, t0=0, t1=100, grid_points=2,
+                             steps_per_cell=1000)
+        path = write_config(tmp_path, "wide.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "accuracy domain" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+        path = write_config(tmp_path, "narrow.json", with_params(config, grid_points=14))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_jobs_fan_out(self, tmp_path, capsys):
         p1 = write_config(tmp_path, "one.json", PAULI_CONFIG)

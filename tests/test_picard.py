@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pitaron_lab.cli import PICARD_MAX_ITERATES
 from pitaron_lab.propagation import pitaron
 from pitaron_lab.picard import (
     error_bound,
@@ -67,6 +68,22 @@ class TestErrorBound:
         values = [error_bound(math.e, 1.0, 1.0, n) for n in (5, 10, 20)]
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-17
+
+    @pytest.mark.parametrize("m, nlip, h", [(math.e, 1.0, 1.0), (3.0, 2.0, 0.7), (0.5, 40.0, 0.1)])
+    def test_float_form_keeps_its_bits_up_to_170(self, m, nlip, h):
+        for n in range(1, 171):
+            assert error_bound(m, nlip, h, n) == m * nlip ** (n - 1) * h**n / math.factorial(n)
+
+    def test_finite_and_decaying_beyond_the_float_factorial(self):
+        # n! leaves the float range at n = 171; the bound must not, up to the CLI's cap
+        values = [error_bound(math.e, 3.0, 1.0, n) for n in range(1, PICARD_MAX_ITERATES + 1)]
+        assert all(math.isfinite(v) for v in values)
+        assert all(a >= b for a, b in zip(values[3:], values[4:]))
+        assert values[170] == pytest.approx(values[169] * 3.0 / 171, rel=1e-12)
+        # where N^(n-1) alone overflows, a bound that is a float is still returned
+        assert error_bound(1.0, 1e200, 1e-200, 5) == pytest.approx(1e-200 / 120, rel=1e-12)
+        with pytest.raises(OverflowError):
+            error_bound(1.0, 1e200, 1.0, 5)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
