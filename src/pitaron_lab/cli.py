@@ -18,7 +18,9 @@ a kind's ``limit`` checks the coerced values as a whole.  A dyson config
 whose nested quadratures, one per length, would exceed
 ``DYSON_MAX_NODES`` nodes in all is a config error, and so is a
 trajectory (evolve, nhse, comb) of more than ``TRAJECTORY_MAX_PIECES``
-pieces or ``SNAPSHOT_MAX_ENTRIES`` snapshot entries, a comb of more
+pieces (``grid_points`` x ``steps_per_cell``, counted for a constant
+spec too, whose U does not depend on ``steps_per_cell``) or
+``SNAPSHOT_MAX_ENTRIES`` snapshot entries, a comb of more
 than ``COMB_MAX_ENTRIES`` kick entries, a Picard run beyond
 ``PICARD_MAX_ITERATES`` iterates or ``PICARD_MAX_ENTRIES`` iterate
 entries, a smearing demo beyond ``SMEARING_MAX_PANELS`` panels (each

@@ -95,9 +95,9 @@ def error_bound(M: float, Nlip: float, h: float, n: int) -> float:
     M bounds |f| and Nlip bounds |df/dy| on the domain rectangle; h is
     the interval radius min(a, b/M).  Where that float form overflows
     (n! is beyond the float range from n = 171 on, and N^(n-1) or h^n can
-    be), the bound is taken in log space, log n! = lgamma(n + 1), so it
-    stays finite (or underflows to 0) as n grows; a bound that is itself
-    beyond the float range raises ``OverflowError``.
+    be), the bound is taken in log space, log n! = lgamma(n + 1), so a
+    bound that tends to 0 stays a float (down to underflow); a bound that
+    is itself beyond the float range raises ``OverflowError``.
     """
     if min(M, Nlip, h) <= 0 or n < 1:
         raise ValueError("bound parameters must be positive and n >= 1")
