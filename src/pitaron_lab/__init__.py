@@ -9,7 +9,6 @@ every claimed property.
 
 from .hamiltonian import (
     HamiltonianSpec,
-    Kick,
     SplitHamiltonian,
     dirac_comb_spec,
     hermitian_split,

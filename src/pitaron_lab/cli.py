@@ -156,11 +156,12 @@ TRAJECTORY_MAX_PIECES = 2 * 10**4
 # (16 bytes each): at the cap, 128 snapshots of an l=64 chain take 0.25 s
 # and +25 MiB resident memory, most of it those stacks.
 SNAPSHOT_MAX_ENTRIES = 2**19
-# len(strengths) x dim^2, the entries of a comb's kick matrices; a kick also
-# costs ~25 us and ~400 bytes of Python objects at any dim.  At the cap,
-# 2^16 kicks at dim 1 take ~1.6 s and +25 MiB resident memory, 16 at dim 64
-# 0.13 s and +2 MiB (grid_points 20000 and 128, as above).
-COMB_MAX_ENTRIES = 2**16
+# len(strengths) x dim^2, the entries of a comb's kick matrices.  At the
+# cap, 2^17 kicks at dim 1 take 1.0-1.1 s and +48 MiB resident memory, of
+# which building the spec and stepping take ~0.1 s and the JSON in and out,
+# the CSV and the comb expansions the rest; 32 kicks at dim 64 take 0.1 s
+# and +3.5 MiB (grid_points 20000 and 128, as above).
+COMB_MAX_ENTRIES = 2**17
 # len(pairs) x (panels + SMEARING_PAIR_PANELS) of a smearing demo.  Each
 # pair is one smeared_second_order call over grids of 2 panels + 1 nodes:
 # ~0.33 us and ~85 bytes per panel, and ~115 us per call, which the 512

@@ -1,9 +1,10 @@
 """Declarative time-dependent Hamiltonians.
 
-A Hamiltonian is a smooth sampled part plus an ordered list of delta
-kicks.  Kicks stay first-class data: they are never smeared here, the
-stepper applies them as exact factors and the singular-dynamics module
-handles their expansions symbolically.  Time is in natural units
+A Hamiltonian is a smooth sampled part plus delta kicks, held as two
+stacked arrays: the increasing kick times and the matrix of each kick.
+Kicks stay first-class data: they are never smeared here, the stepper
+applies them as exact factors and the singular-dynamics module handles
+their expansions symbolically.  Time is in natural units
 (hbar = 1) throughout.
 """
 
@@ -14,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, as_matrix, frob, hermiticity_defect, hermitize
+from .linalg import HERMITICITY_TOL, as_matrix, as_stack, frob, hermiticity_defect, hermitize
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -24,7 +25,6 @@ __all__ = [
     "SIGMA1",
     "SIGMA2",
     "SIGMA3",
-    "Kick",
     "HamiltonianSpec",
     "SplitHamiltonian",
     "hermitian_split",
@@ -35,25 +35,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Kick:
-    """Instantaneous term V * delta(t - time); ``strength`` is the matrix V."""
-
-    time: float
-    strength: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "strength", as_matrix(self.strength))
-        if not np.isfinite(self.time):
-            raise ValueError("kick time must be finite")
-
-
-@dataclass(frozen=True)
 class HamiltonianSpec:
-    """Smooth sampled part plus ordered delta kicks.
+    """Smooth sampled part plus delta kicks sum_k V_k delta(t - t_k).
 
     ``smooth`` is a pure evaluator t -> matrix (or None for pure-kick
-    specs); the stepper chooses where to sample it.  Kick times must be
-    strictly increasing and every matrix must match ``dim``.
+    specs); the stepper chooses where to sample it.  The kicks are two
+    arrays: ``kick_times``, the K finite, strictly increasing times t_k,
+    and ``kick_strengths``, the ``(K, dim, dim)`` stack of the matrices
+    V_k (no kicks by default).  Both are validated once and stored as
+    read-only copies.
 
     ``sample_stack(ts)`` is the one way H is sampled: it evaluates an
     array of times into a ``(*ts.shape, dim, dim)`` stack with one shape
@@ -72,7 +62,8 @@ class HamiltonianSpec:
 
     dim: int
     smooth: Callable[[float], np.ndarray] | None = None
-    kicks: tuple[Kick, ...] = field(default_factory=tuple)
+    kick_times: np.ndarray = ()
+    kick_strengths: np.ndarray | None = None
     constant_matrix: np.ndarray | None = field(default=None, init=False, repr=False,
                                                compare=False)
     smooth_stack: Callable[[np.ndarray], np.ndarray] | None = field(
@@ -81,23 +72,30 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        object.__setattr__(self, "kicks", tuple(self.kicks))
-        times = [k.time for k in self.kicks]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        times = np.array(self.kick_times, dtype=float)
+        if times.ndim != 1 or not np.all(np.isfinite(times)):
+            raise ValueError(f"kick times must be a finite 1-d sequence: {times}")
+        if np.any(np.diff(times) <= 0):
             raise ValueError(f"kick times must be strictly increasing: {times}")
-        for k in self.kicks:
-            if k.strength.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"kick at t={k.time} has dimension {k.strength.shape[0]}, "
-                    f"spec has {self.dim}"
-                )
+        if self.kick_strengths is None:
+            strengths = np.zeros((0, self.dim, self.dim), dtype=np.complex128)
+        else:
+            strengths = as_stack(np.array(self.kick_strengths, dtype=np.complex128))
+        expected = (len(times), self.dim, self.dim)
+        if strengths.shape != expected:
+            raise ValueError(f"kick strengths have shape {strengths.shape}, expected "
+                             f"{expected}: one matrix of the spec's dimension per kick time")
+        for name, value in (("kick_times", times), ("kick_strengths", strengths)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def constant(cls, h, kicks: Sequence[Kick] = ()) -> HamiltonianSpec:
-        """Spec with the time-independent smooth part ``h`` plus ``kicks``."""
+    def constant(cls, h, kick_times=(), kick_strengths=None) -> HamiltonianSpec:
+        """Spec with the time-independent smooth part ``h`` plus the given kicks."""
         h = as_matrix(h).copy()
         h.flags.writeable = False
-        spec = cls(dim=h.shape[0], smooth=lambda t: h, kicks=tuple(kicks))
+        spec = cls(dim=h.shape[0], smooth=lambda t: h, kick_times=kick_times,
+                   kick_strengths=kick_strengths)
         object.__setattr__(spec, "constant_matrix", h)
         return spec
 
@@ -139,10 +137,6 @@ class HamiltonianSpec:
             bad = ts[~np.isfinite(h).all(axis=(-2, -1))]
             raise ValueError(f"smooth part returned non-finite entries at t={bad.flat[0]}")
         return h
-
-    def kicks_between(self, t0: float, t1: float) -> tuple[Kick, ...]:
-        """Kicks with time in the half-open interval (t0, t1]."""
-        return tuple(k for k in self.kicks if t0 < k.time <= t1)
 
 
 @dataclass(frozen=True)
@@ -242,12 +236,7 @@ def dirac_comb_spec(
     Hermitian matrix for multi-level combs).  Times must be strictly
     increasing.
     """
-    strengths = [float(v) for v in kick_strengths]
-    times = [float(t) for t in kick_times]
-    if len(strengths) != len(times):
-        raise ValueError(
-            f"{len(strengths)} strengths but {len(times)} kick times"
-        )
+    strengths = np.array(kick_strengths, dtype=float)
     if generator is None:
         generator = np.eye(dim, dtype=np.complex128)
     else:
@@ -256,5 +245,5 @@ def dirac_comb_spec(
             raise ValueError("generator dimension does not match dim")
         if hermiticity_defect(generator) > HERMITICITY_TOL:
             raise ValueError("comb generator must be Hermitian")
-    kicks = tuple(Kick(time=t, strength=v * generator) for v, t in zip(strengths, times))
-    return HamiltonianSpec(dim=dim, smooth=None, kicks=kicks)
+    return HamiltonianSpec(dim=dim, kick_times=kick_times,
+                           kick_strengths=strengths[:, None, None] * generator)

@@ -144,12 +144,12 @@ def _layout(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
     Returns the factor count of each cell and, per factor, its ``width``,
     ``mid`` and ``kick``: a smooth piece of width w around its midpoint
     has kick -1, a kick factor holds the index of its kick in
-    ``spec.kicks``.  Each cell is split uniformly into ``steps`` pieces
-    (its own ``linspace``) and again at each kick inside it; a kick
-    follows the piece that ends at its time.
+    ``spec.kick_times`` and ``spec.kick_strengths``.  Each cell is split
+    uniformly into ``steps`` pieces (its own ``linspace``) and again at
+    each kick inside it; a kick follows the piece that ends at its time.
     """
     cells = len(grid) - 1
-    kick_times = np.array([k.time for k in spec.kicks])
+    kick_times = spec.kick_times
     kick_cell = np.searchsorted(grid, kick_times) - 1
     inside = np.flatnonzero((kick_cell >= 0) & (kick_cell < cells))
     if spec.smooth is None:
@@ -224,7 +224,7 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int) -> np.nd
     constant = spec.constant_matrix is not None
     count, width, mid, kick = _layout(spec, grid, 1 if constant else steps)
     dim, block = spec.dim, _block(spec.dim)
-    kick_exponents = -1j * np.array([k.strength for k in spec.kicks]).reshape(-1, dim, dim)
+    kick_exponents = -1j * spec.kick_strengths
     if not constant:
         ids = np.arange(len(kick))
 
@@ -303,7 +303,7 @@ def _runs(f: np.ndarray) -> list:
 def _check_interval(spec: HamiltonianSpec, t0: float, t: float) -> None:
     if not t > t0:
         raise ValueError(f"need t > t0, got t0={t0}, t={t}")
-    if any(k.time == t0 for k in spec.kicks):
+    if np.any(spec.kick_times == t0):
         raise ValueError(
             f"kick at t={t0} coincides with the interval start; kicks "
             "belong to intervals with time in (t0, t]"
@@ -541,7 +541,7 @@ def markov_check(spec: HamiltonianSpec, t0: float, t1: float, t2: float,
     """
     if not (t0 < t1 < t2):
         raise ValueError(f"need t0 < t1 < t2, got {t0}, {t1}, {t2}")
-    if any(k.time == t1 for k in spec.kicks):
+    if np.any(spec.kick_times == t1):
         raise ValueError(
             f"split time t1={t1} coincides with a kick; composition across a "
             "kick instant is ambiguous"

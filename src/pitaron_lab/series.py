@@ -77,7 +77,7 @@ def _assemble(terms: list[np.ndarray]) -> SeriesExpansion:
 
 
 def _reject_kicks(spec: HamiltonianSpec, what: str) -> None:
-    if spec.kicks:
+    if len(spec.kick_times):
         raise ValueError(
             f"{what} requires a smooth spec: delta kicks make the iterated "
             "integrands indefinite (handled symbolically in singular_dynamics)"

@@ -514,9 +514,9 @@ class TestMainEntryPoint:
          "528384 snapshot entries"),
         (with_params(COMB_CONFIG, dim=64, grid_points=129, steps_per_cell=1),
          "528384 snapshot entries"),
-        # kicks x dim^2 above 2^16: 17 kicks at dim 64
-        (with_params(COMB_CONFIG, dim=64, strengths=[0.1] * 17,
-                     times=[0.25 * k for k in range(1, 18)]), "69632 kick entries"),
+        # kicks x dim^2 above 2^17: 33 kicks at dim 64
+        (with_params(COMB_CONFIG, dim=64, strengths=[0.1] * 33,
+                     times=[0.125 * k for k in range(1, 34)]), "135168 kick entries"),
     ], ids=["pieces-evolve", "pieces-nhse", "pieces-comb", "dim-matrix", "dim-psi0",
             "dim-nhse", "dim-comb", "snapshots-nhse", "snapshots-comb", "kicks-comb"])
     def test_trajectory_beyond_a_cap_exits_two_and_writes_nothing(self, tmp_path, capsys,
@@ -529,7 +529,7 @@ class TestMainEntryPoint:
 
     def test_trajectory_at_the_caps_runs(self, tmp_path):
         config = with_params(COMB_CONFIG, dim=64, grid_points=128, steps_per_cell=156,
-                             strengths=[0.1] * 16, times=[0.25 * k for k in range(1, 17)])
+                             strengths=[0.1] * 32, times=[0.125 * k for k in range(1, 33)])
         assert main(["run", str(write_config(tmp_path, "cap.json", config)),
                      "--out", str(tmp_path)]) == 0
 

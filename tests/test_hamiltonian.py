@@ -9,13 +9,13 @@ from pitaron_lab.hamiltonian import (
     SIGMA2,
     SIGMA3,
     HamiltonianSpec,
-    Kick,
     dirac_comb_spec,
     hermitian_split,
     nhse_hamiltonian,
     pauli_hamiltonian,
 )
 from pitaron_lab.linalg import frob
+from pitaron_lab.propagation import step_propagator
 
 from oracles import random_ginibre
 
@@ -106,19 +106,19 @@ class TestNhseHamiltonian:
 class TestDiracCombSpec:
     def test_figure_parameters(self):
         spec = dirac_comb_spec([0.6, 1.0, 1.2, 0.8], [1.0, 2.0, 3.0, 4.0], dim=1)
-        assert len(spec.kicks) == 4
+        assert len(spec.kick_times) == 4
         assert spec.smooth is None
-        assert_allclose([k.time for k in spec.kicks], [1.0, 2.0, 3.0, 4.0])
-        assert_allclose(spec.kicks[2].strength, [[1.2]])
+        assert_allclose(spec.kick_times, [1.0, 2.0, 3.0, 4.0])
+        assert_allclose(spec.kick_strengths[2], [[1.2]])
 
     def test_empty_comb_is_free_evolution(self):
         spec = dirac_comb_spec([], [], dim=3)
-        assert spec.kicks == ()
+        assert spec.kick_times.shape == (0,) and spec.kick_strengths.shape == (0, 3, 3)
         assert_allclose(spec.sample(1.0), np.zeros((3, 3)))
 
     def test_generator_scales_kicks(self):
         spec = dirac_comb_spec([np.pi], [1.0], dim=2, generator=SIGMA3)
-        assert_allclose(spec.kicks[0].strength, np.pi * SIGMA3)
+        assert_allclose(spec.kick_strengths[0], np.pi * SIGMA3)
 
     def test_rejects_non_increasing_times(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -133,13 +133,19 @@ class TestDiracCombSpec:
             dirac_comb_spec([1.0], [1.0], dim=2, generator=[[0, 1], [0, 0]])
 
 
-class TestHamiltonianSpec:
-    def test_kicks_between_half_open(self):
-        spec = dirac_comb_spec([1.0, 2.0], [1.0, 2.0], dim=1)
-        assert [k.time for k in spec.kicks_between(0.0, 1.0)] == [1.0]
-        assert [k.time for k in spec.kicks_between(1.0, 2.0)] == [2.0]
-        assert spec.kicks_between(2.0, 3.0) == ()
+# (kick_times, kick_strengths, message) that a dim-2 spec rejects
+INVALID_KICKS = pytest.mark.parametrize("times, strengths, match", [
+    ([1.0], [np.eye(3)], "dimension"),
+    ([np.nan], [np.eye(2)], "finite"),  # one time: no neighbour to break the order
+    ([1.0, 1.0], [np.eye(2), np.eye(2)], "increasing"),
+    ([1.0, 2.0], [np.eye(2)], "strengths"),
+    ([1.0], np.eye(2), "strengths"),  # a matrix, not a stack of one
+    ([1.0], [[[np.inf, 0.0], [0.0, 1.0]]], "finite"),
+], ids=["dimension", "nan_time", "repeated_times", "length", "not_a_stack",
+        "non_finite_strength"])
 
+
+class TestHamiltonianSpec:
     def test_sample_validates_shape(self):
         spec = HamiltonianSpec(dim=2, smooth=lambda t: np.zeros((3, 3)))
         with pytest.raises(ValueError, match="shape"):
@@ -150,9 +156,23 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError, match="non-finite"):
             spec.sample(0.0)
 
-    def test_kick_dimension_must_match(self):
-        with pytest.raises(ValueError, match="dimension"):
-            HamiltonianSpec(dim=2, kicks=(Kick(time=1.0, strength=np.eye(3)),))
+    @INVALID_KICKS
+    def test_kick_dimension_must_match(self, times, strengths, match):
+        with pytest.raises(ValueError, match=match):
+            HamiltonianSpec(dim=2, kick_times=times, kick_strengths=strengths)
+
+    def test_stores_read_only_copies_of_the_kicks(self):
+        times = np.array([0.5, 1.0])
+        strengths = np.stack([SIGMA1, SIGMA3]).astype(np.complex128)
+        spec = HamiltonianSpec(dim=2, kick_times=times, kick_strengths=strengths)
+        before = step_propagator(spec, 0.0, 2.0, 1)
+        times[0] = 1.5
+        strengths[:] = 0.0
+        assert np.array_equal(step_propagator(spec, 0.0, 2.0, 1), before)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.kick_times[0] = 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            spec.kick_strengths[0] = SIGMA2
 
 
 class TestConstantSpec:
@@ -183,9 +203,10 @@ class TestConstantSpec:
         with pytest.raises(ValueError, match="finite"):
             HamiltonianSpec.constant([[1.0, np.nan], [0.0, 1.0]])
 
-    def test_rejects_kick_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            HamiltonianSpec.constant(SIGMA1, kicks=(Kick(time=1.0, strength=np.eye(3)),))
+    @INVALID_KICKS
+    def test_rejects_kick_dimension_mismatch(self, times, strengths, match):
+        with pytest.raises(ValueError, match=match):
+            HamiltonianSpec.constant(SIGMA1, kick_times=times, kick_strengths=strengths)
 
 
 class TestSampleStack:

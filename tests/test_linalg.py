@@ -251,7 +251,7 @@ class TestSmallDimensionKernel:
         times = np.sort(rng.uniform(0.01, 2.0, 300))
         strengths = rng.uniform(-1.5, 1.5, 300)
         spec = dirac_comb_spec(strengths, times, 1)
-        kicks = [(k.time, k.strength) for k in spec.kicks]
+        kicks = list(zip(spec.kick_times, spec.kick_strengths))
         u = step_propagator(spec, 0.0, 2.0, 4)
         expected = stepped_propagator(None, kicks, 0.0, 2.0, 4, 1)
         assert abs(u[0, 0] - expected[0, 0]) <= 1e-13

@@ -11,7 +11,6 @@ from pitaron_lab.hamiltonian import (
     SIGMA2,
     SIGMA3,
     HamiltonianSpec,
-    Kick,
     dirac_comb_spec,
     hermitian_split,
     nhse_hamiltonian,
@@ -455,9 +454,10 @@ class TestConstantSpecReuse:
     def _specs(rng, kick_times):
         h = 0.4 * random_ginibre(rng, 8)
         v = random_ginibre(rng, 8)
-        kicks = tuple(Kick(time=t, strength=0.5 * (v + v.conj().T)) for t in kick_times)
-        return (HamiltonianSpec.constant(h, kicks=kicks),
-                HamiltonianSpec(dim=8, smooth=lambda t: h, kicks=kicks))
+        strengths = np.broadcast_to(0.5 * (v + v.conj().T), (len(kick_times), 8, 8))
+        return (HamiltonianSpec.constant(h, kick_times, strengths),
+                HamiltonianSpec(dim=8, smooth=lambda t: h, kick_times=kick_times,
+                                kick_strengths=strengths))
 
     # grid over [0, 2] with 9 points has cells of width 0.25
     @pytest.mark.parametrize("kick_times", [(), (0.3,), (0.5,)],
@@ -518,8 +518,9 @@ def _kicked_nonhermitian_spec(rng):
     """
     a, b = 0.7 * random_ginibre(rng, 3), 0.4 * random_ginibre(rng, 3)
     times = (0.3, 0.45, 1.0, 2.0)
-    kicks = tuple(Kick(time=t, strength=0.6 * random_ginibre(rng, 3)) for t in times)
-    return HamiltonianSpec(dim=3, smooth=lambda t: a * np.cos(t) + b * t, kicks=kicks)
+    strengths = [0.6 * random_ginibre(rng, 3) for _ in times]
+    return HamiltonianSpec(dim=3, smooth=lambda t: a * np.cos(t) + b * t, kick_times=times,
+                           kick_strengths=strengths)
 
 
 class TestStackedStepper:
@@ -528,7 +529,7 @@ class TestStackedStepper:
     def test_trajectory_matches_reference_stepper(self, rng):
         spec = _kicked_nonhermitian_spec(rng)
         traj = evolve_trajectory(spec, 0.0, 2.0, 5, 7)
-        kicks = [(k.time, k.strength) for k in spec.kicks]
+        kicks = list(zip(spec.kick_times, spec.kick_strengths))
         u = np.eye(3, dtype=complex)
         for a, b, snap in zip(traj.grid[:-1], traj.grid[1:], traj.snapshots[1:]):
             u = stepped_propagator(spec.smooth, kicks, a, b, 7, 3) @ u
@@ -536,10 +537,9 @@ class TestStackedStepper:
 
     def test_pure_kick_cells_match_reference_stepper(self, rng):
         v = [random_ginibre(rng, 2) for _ in range(3)]
-        spec = HamiltonianSpec(dim=2, kicks=[Kick(time=t, strength=m)
-                                              for t, m in zip((0.2, 0.25, 1.0), v)])
+        spec = HamiltonianSpec(dim=2, kick_times=(0.2, 0.25, 1.0), kick_strengths=v)
         u = step_propagator(spec, 0.0, 1.0, 3)
-        expected = stepped_propagator(None, [(k.time, k.strength) for k in spec.kicks],
+        expected = stepped_propagator(None, list(zip(spec.kick_times, spec.kick_strengths)),
                                       0.0, 1.0, 3, 2)
         assert frob(u - expected) <= 1e-13 * frob(expected)
 
@@ -620,7 +620,7 @@ class TestStackedStepper:
     def test_empty_cells_of_a_pure_kick_spec_exponentiate_nothing(self, monkeypatch):
         calls = []
         monkeypatch.setattr(propagation, "mat_exp", lambda a: calls.append(a) or a)
-        spec = HamiltonianSpec(dim=2, kicks=[Kick(time=1.0, strength=SIGMA1)])
+        spec = HamiltonianSpec(dim=2, kick_times=[1.0], kick_strengths=[SIGMA1])
         assert np.array_equal(step_propagator(spec, 1.5, 3.0, 8), np.eye(2))
         assert calls == []
 

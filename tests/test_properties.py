@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitaron_lab.hamiltonian import HamiltonianSpec, Kick
+from pitaron_lab.hamiltonian import HamiltonianSpec
 from pitaron_lab.linalg import _matmul, frob, frob_stack, mat_exp, unitarity_defect
 from pitaron_lab.propagation import evolve_trajectory, pitaron, z_factor
 from pitaron_lab.singular_dynamics import StepFunction, comb_truncated_norm
@@ -127,15 +127,16 @@ def test_trajectory_matches_the_stepped_oracle(seed, dim, kicks, grid_points, st
     grid = np.linspace(0.0, 2.0, grid_points)
     candidates = np.concatenate([grid[1:], rng.uniform(0.0, 2.0, size=8)])
     times = sorted(set(rng.choice(candidates, size=kicks, replace=False).tolist()) - {0.0})
-    kick_list = [Kick(time=t, strength=0.5 * random_ginibre(rng, dim)) for t in times]
+    strengths = np.array([0.5 * random_ginibre(rng, dim) for _ in times]).reshape(-1, dim, dim)
     if constant:
-        spec = HamiltonianSpec.constant(a, kicks=kick_list)
+        spec = HamiltonianSpec.constant(a, times, strengths)
         oracle_steps = 1
     else:
-        spec = HamiltonianSpec(dim=dim, smooth=lambda t: a * np.cos(t) + b * t, kicks=kick_list)
+        spec = HamiltonianSpec(dim=dim, smooth=lambda t: a * np.cos(t) + b * t,
+                               kick_times=times, kick_strengths=strengths)
         oracle_steps = steps
     traj = evolve_trajectory(spec, 0.0, 2.0, grid_points, steps)
-    pairs = [(k.time, k.strength) for k in kick_list]
+    pairs = list(zip(spec.kick_times, spec.kick_strengths))
     u = np.eye(dim, dtype=complex)
     assert np.array_equal(traj.U[0], u)
     for lo, hi, snapshot in zip(grid[:-1], grid[1:], traj.U[1:], strict=True):
