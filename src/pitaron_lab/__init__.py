@@ -43,7 +43,6 @@ from .series import (
 from .singular_dynamics import (
     CombExpansionReport,
     SmearedDelta,
-    StepFunction,
     comb_expansion_terms,
     comb_pitaron_expansion,
     comb_truncated_norm,

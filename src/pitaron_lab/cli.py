@@ -157,10 +157,10 @@ TRAJECTORY_MAX_PIECES = 2 * 10**4
 # and +25 MiB resident memory, most of it those stacks.
 SNAPSHOT_MAX_ENTRIES = 2**19
 # len(strengths) x dim^2, the entries of a comb's kick matrices.  At the
-# cap, 2^17 kicks at dim 1 take 1.0-1.1 s and +48 MiB resident memory, of
-# which building the spec and stepping take ~0.1 s and the JSON in and out,
-# the CSV and the comb expansions the rest; 32 kicks at dim 64 take 0.1 s
-# and +3.5 MiB (grid_points 20000 and 128, as above).
+# cap, 2^17 kicks at dim 1 take 0.8-0.9 s and +31 MiB resident memory, of
+# which building the spec and stepping take ~0.1 s and the comb closed forms
+# ~0.02 s, the JSON in and out and the CSV the rest; 32 kicks at dim 64 take
+# 0.1 s and +3.4 MiB (grid_points 20000 and 128, as above).
 COMB_MAX_ENTRIES = 2**17
 # len(pairs) x (panels + SMEARING_PAIR_PANELS) of a smearing demo.  Each
 # pair is one smeared_second_order call over grids of 2 panels + 1 nodes:

@@ -4,8 +4,9 @@ A Hamiltonian is a smooth sampled part plus delta kicks, held as two
 stacked arrays: the increasing kick times and the matrix of each kick.
 Kicks stay first-class data: they are never smeared here, the stepper
 applies them as exact factors and the singular-dynamics module handles
-their expansions symbolically.  Time is in natural units
-(hbar = 1) throughout.
+their expansions symbolically.  ``_kick_times`` alone checks kick times,
+a spec's and those of the comb closed forms, whose scalar strengths
+``_comb_kicks`` checks too.  Time is in natural units (hbar = 1) throughout.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class HamiltonianSpec:
     specs); the stepper chooses where to sample it.  The kicks are two
     arrays: ``kick_times``, the K finite, strictly increasing times t_k,
     and ``kick_strengths``, the ``(K, dim, dim)`` stack of the matrices
-    V_k (no kicks by default).  Both are validated once and stored as
-    read-only copies.
+    V_k (no kicks by default).  Both are validated once (the times by
+    ``_kick_times``) and stored as read-only copies.
 
     ``sample_stack(ts)`` is the one way H is sampled: it evaluates an
     array of times into a ``(*ts.shape, dim, dim)`` stack with one shape
@@ -72,11 +73,7 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        times = np.array(self.kick_times, dtype=float)
-        if times.ndim != 1 or not np.all(np.isfinite(times)):
-            raise ValueError(f"kick times must be a finite 1-d sequence: {times}")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError(f"kick times must be strictly increasing: {times}")
+        times = _kick_times(self.kick_times)
         if self.kick_strengths is None:
             strengths = np.zeros((0, self.dim, self.dim), dtype=np.complex128)
         else:
@@ -166,6 +163,28 @@ def hermitian_split(h) -> SplitHamiltonian:
     return SplitHamiltonian(h_part=h_part, j_part=j_part, commutator_norm=frob(comm))
 
 
+def _kick_times(times) -> np.ndarray:
+    """A float copy of ``times``, checked to be 1-d, finite and strictly increasing."""
+    times = np.array(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValueError(f"kick times must be a finite 1-d sequence: {times}")
+    if (times[1:] <= times[:-1]).any():
+        raise ValueError(f"kick times must be strictly increasing: {times}")
+    return times
+
+
+def _comb_kicks(strengths, times) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of a comb's kick strengths and times: finite, one strength per time."""
+    times = _kick_times(times)
+    strengths = np.array(strengths, dtype=float)
+    if strengths.shape != times.shape:
+        raise ValueError(f"kick strengths have shape {strengths.shape}, expected "
+                         f"{times.shape}: one number per kick time")
+    if not np.isfinite(strengths).all():
+        raise ValueError(f"kick strengths must be finite: {strengths}")
+    return strengths, times
+
+
 def _coefficients(f, ts: np.ndarray) -> np.ndarray:
     """A coefficient at every time of ``ts``: broadcast, one ufunc call, or one call per time."""
     if not callable(f):
@@ -233,10 +252,11 @@ def dirac_comb_spec(
     """Pure-kick spec V(t) = sum_i V_i delta(t - t_i).
 
     Each kick strength multiplies ``generator`` (identity by default, any
-    Hermitian matrix for multi-level combs).  Times must be strictly
-    increasing.
+    Hermitian matrix for multi-level combs).  The strengths and times are
+    checked as the comb closed forms of ``singular_dynamics`` check them,
+    before any product is formed.
     """
-    strengths = np.array(kick_strengths, dtype=float)
+    strengths, kick_times = _comb_kicks(kick_strengths, kick_times)
     if generator is None:
         generator = np.eye(dim, dtype=np.complex128)
     else:

@@ -1,8 +1,10 @@
 """Exact handling of delta-kick dynamics and its regularization pitfalls.
 
 Delta kicks integrate to Heaviside steps, so the comb expansions have
-closed forms built on a step function.  Terms of the form
-int delta(x - a) Theta(x - a) dx have no canonical value; they are
+closed forms in the cumulative strength S(t), one running sum of the
+kick strengths.  Their kicks are checked by ``hamiltonian._comb_kicks``,
+which checks the times as a spec's kick times are checked.  Terms of the
+form int delta(x - a) Theta(x - a) dx have no canonical value; they are
 flagged as indefinite and never evaluated.  Smearing the deltas instead
 of treating them exactly is demonstrated to be limit-path dependent, and
 the classic dominated-convergence counterexamples show why exchanging
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonian import _comb_kicks
 from .linalg import simpson_grid, simpson_pattern
 
 __all__ = [
-    "StepFunction",
     "SmearedDelta",
-    "IndefiniteTerm",
     "CombExpansionReport",
     "DominatedConvergenceReport",
     "comb_truncated_norm",
@@ -32,34 +33,6 @@ __all__ = [
 ]
 
 SMEARING_KINDS = ("nascent", "gaussian", "causal")
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous piecewise constant function of time.
-
-    Evaluates to base plus every jump at or before t, matching the
-    half-open kick convention of the stepper: the jump at a kick time
-    counts from that instant on.  ``t`` is a time or an array of them.
-    The jumps at or before t are a prefix of ``jumps``, so the value is
-    one entry of the running sum 0, 0 + d1, (0 + d1) + d2, ... picked by
-    ``searchsorted(side="right")``: the bits of ``base + sum(d for tau,
-    d in jumps if tau <= t)`` for every t but NaN.
-    """
-
-    base: float
-    jumps: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        times = [tau for tau, _ in self.jumps]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError(f"jump times must be strictly increasing: {times}")
-
-    def __call__(self, t):
-        times = [tau for tau, _ in self.jumps]
-        running = np.cumsum([0.0] + [delta for _, delta in self.jumps])
-        value = self.base + running[np.searchsorted(times, t, side="right")]
-        return float(value) if np.ndim(t) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -165,12 +138,23 @@ def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _cumulative_strength(strengths, times) -> StepFunction:
-    strengths = [float(v) for v in strengths]
-    times = [float(t) for t in times]
-    if len(strengths) != len(times):
-        raise ValueError(f"{len(strengths)} strengths but {len(times)} kick times")
-    return StepFunction(base=0.0, jumps=tuple(zip(times, strengths)))
+def _running_strength(strengths, times):
+    """A comb's checked strengths and times, and the running sums of the strengths.
+
+    ``running`` is 0, 0 + v_1, (0 + v_1) + v_2, ...: the kicks at or
+    before t are a prefix, because the times increase, so S(t) is
+    ``running[_through(times, t)]``, the bits of summing their strengths
+    in order from 0.
+    """
+    strengths, times = _comb_kicks(strengths, times)
+    return strengths, times, np.cumsum(np.concatenate(([0.0], strengths)))
+
+
+def _through(times, t):
+    """How many kick times are at or before t (a time or an array of them)."""
+    if np.isnan(t).any():
+        raise ValueError(f"t must be a time, got {t}")
+    return np.searchsorted(times, t, side="right")
 
 
 def comb_truncated_norm(strengths, times, t):
@@ -181,59 +165,49 @@ def comb_truncated_norm(strengths, times, t):
     (the result is a float) or an array of them, each entry the bits of
     its own scalar call.
     """
-    s = _cumulative_strength(strengths, times)(t)
-    return 1.0 - 0.5 * s * s
-
-
-@dataclass(frozen=True)
-class IndefiniteTerm:
-    """A flagged integral of delta(t' - tau) Theta(t' - tau): no canonical value.
-
-    ``coefficient`` is the prefactor (-V^2 for the propagator expansion)
-    that WOULD multiply the integral; the integral itself stays a status.
-    """
-
-    kick_index: int
-    time: float
-    coefficient: float
+    _, times, running = _running_strength(strengths, times)
+    s = running[_through(times, t)]
+    norm = 1.0 - 0.5 * s * s
+    return float(norm) if np.ndim(t) == 0 else norm
 
 
 @dataclass(frozen=True)
 class CombExpansionReport:
-    """Defined terms of the comb propagator expansion plus indefinite flags."""
+    """Defined terms of the comb propagator expansion plus indefinite flags.
+
+    ``indefinite`` is the range of the indices k of the kicks inside
+    (0, t], one flag each: the integral of delta(t' - t_k) Theta(t' - t_k)
+    at the kick time t_k, which has no canonical value, so only its
+    prefactor -V_k^2 is known and the integral stays a status.
+    """
 
     order0: complex
     order1: complex
     order2_defined: complex
-    indefinite: tuple[IndefiniteTerm, ...]
+    indefinite: range
 
 
 def comb_expansion_terms(strengths, times, t: float) -> CombExpansionReport:
     """Expansion of U(t, 0) for a kick comb, evaluated exactly where defined.
 
     Order one integrates each delta to a step.  At order two the cross
-    terms (distinct kicks) are ordinary numbers, but each kick also
+    terms (distinct kicks) are ordinary numbers, the sum of -V_k S(t_k^-)
+    over the kicks inside (0, t] in time order, but each kick also
     produces an integral of its own delta against its own step, which is
     a product of distributions at the same point: those terms are
     reported as indefinite, one flag per kick inside (0, t].
     """
-    step = _cumulative_strength(strengths, times)
-    s_now = step(t)
-    order1 = -1j * s_now
-
-    order2 = 0.0
-    before = 0.0  # the strengths of the earlier kicks (times increase), summed in order
-    flags = []
-    for i, (tau, v) in enumerate(step.jumps):
-        if 0.0 < tau <= t:
-            order2 -= v * before
-            flags.append(IndefiniteTerm(kick_index=i, time=tau, coefficient=-v * v))
-        before += v
+    strengths, times, running = _running_strength(strengths, times)
+    lo, hi = _through(times, [0.0, t])
+    flags = range(lo, hi)  # empty for t <= 0
+    cross = strengths[lo:hi] * running[lo:hi]
+    # cumsum adds in time order, as a kick-by-kick loop does (np.sum adds pairwise)
+    order2 = 0.0 - np.cumsum(cross)[-1] if flags else 0.0
     return CombExpansionReport(
         order0=1.0 + 0.0j,
-        order1=order1,
+        order1=-1j * float(running[hi]),
         order2_defined=complex(order2),
-        indefinite=tuple(flags),
+        indefinite=flags,
     )
 
 
@@ -244,7 +218,8 @@ def comb_pitaron_expansion(strengths, times, t: float) -> tuple[float, float]:
     normalization expansions before any integral is taken, leaving the
     second-order Taylor polynomial of exp(-i S).  Returned as (re, im).
     """
-    s = _cumulative_strength(strengths, times)(t)
+    _, times, running = _running_strength(strengths, times)
+    s = float(running[_through(times, t)])
     return (1.0 - 0.5 * s * s, -s)
 
 

@@ -128,6 +128,11 @@ class TestDiracCombSpec:
         with pytest.raises(ValueError, match="strengths"):
             dirac_comb_spec([1.0], [1.0, 2.0], dim=1)
 
+    def test_rejects_non_finite_strength_before_scaling_the_generator(self):
+        # inf times the generator's zero entries would warn (an error under pytest)
+        with pytest.raises(ValueError, match="finite"):
+            dirac_comb_spec([np.inf], [1.0], dim=2)
+
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(ValueError, match="Hermitian"):
             dirac_comb_spec([1.0], [1.0], dim=2, generator=[[0, 1], [0, 0]])

@@ -20,7 +20,11 @@ from hypothesis import strategies as st
 from pitaron_lab.hamiltonian import HamiltonianSpec
 from pitaron_lab.linalg import _matmul, frob, frob_stack, mat_exp, unitarity_defect
 from pitaron_lab.propagation import evolve_trajectory, pitaron, z_factor
-from pitaron_lab.singular_dynamics import StepFunction, comb_truncated_norm
+from pitaron_lab.singular_dynamics import (
+    comb_expansion_terms,
+    comb_pitaron_expansion,
+    comb_truncated_norm,
+)
 
 from oracles import random_ginibre, random_unitary, stepped_propagator
 
@@ -144,10 +148,31 @@ def test_trajectory_matches_the_stepped_oracle(seed, dim, kicks, grid_points, st
         assert frob(snapshot - u) <= 64 * EPS * frob(u)
 
 
+def _strength_by_definition(strengths, times, t: float) -> float:
+    """S(t) = 0 + sum of the strengths of the kicks at or before t, in order."""
+    return 0.0 + sum(v for v, tau in zip(strengths, times) if tau <= t)
+
+
 def _truncated_norm_by_definition(strengths, times, t: float) -> float:
-    """1 - S(t)^2 / 2 with S(t) = 0 + sum of the strengths of the kicks at or before t."""
-    s = 0.0 + sum(v for v, tau in zip(strengths, times) if tau <= t)
+    """1 - S(t)^2 / 2."""
+    s = _strength_by_definition(strengths, times, t)
     return 1.0 - 0.5 * s * s
+
+
+def _expansion_by_definition(strengths, times, t: float):
+    """order1, order2_defined and the flagged kick indices, kick by kick.
+
+    Order two sums -V_k S(t_k^-) over the kicks inside (0, t] in time
+    order, and each of those kicks is flagged.
+    """
+    order2 = 0.0
+    flags = []
+    for k, (v, tau) in enumerate(zip(strengths, times)):
+        if 0.0 < tau <= t:
+            before = 0.0 + sum(strengths[:k])  # the earlier kicks, times increase
+            order2 -= v * before
+            flags.append(k)
+    return -1j * _strength_by_definition(strengths, times, t), complex(order2), flags
 
 
 @PROPERTY
@@ -166,7 +191,35 @@ def test_array_truncated_norm_has_the_bits_of_scalar_calls(seed, kicks, extra):
         assert value == _truncated_norm_by_definition(strengths, times, at)
 
 
-def test_step_function_of_no_jumps_is_its_base():
-    step = StepFunction(base=0.25, jumps=())
-    assert step(3.0) == 0.25
-    assert step(np.array([-1.0, 0.0, 2.0])).tolist() == [0.25, 0.25, 0.25]
+def _bits(*values) -> list[str]:
+    """The exact bits, sign of zero included, of floats and complex numbers."""
+    return [part.hex() for z in values for part in (complex(z).real, complex(z).imag)]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), kicks=st.integers(0, 11), extra=st.integers(0, 10))
+def test_comb_expansions_have_the_bits_of_the_definition(seed, kicks, extra):
+    rng = np.random.default_rng(seed)
+    # kicks on [-1, 4.9], 0 included, so some lie outside (0, t]
+    times = (np.sort(rng.choice(np.arange(-10, 50), size=kicks, replace=False)) / 10).tolist()
+    strengths = rng.uniform(-1.5, 1.5, size=kicks) * 10.0 ** rng.integers(-8, 8, size=kicks)
+    strengths[rng.random(kicks) < 0.2] = 0.0
+    strengths[rng.random(kicks) < 0.2] *= -1.0  # some of them -0.0
+    cancel = np.flatnonzero(rng.random(kicks) < 0.2)
+    strengths[cancel[cancel > 0]] = -strengths[cancel[cancel > 0] - 1]
+    strengths = strengths.tolist()
+    for t in [*times, 0.0, -0.0, -1.5, 9.0, *rng.uniform(-1.5, 6.0, size=extra)]:
+        order1, order2, flags = _expansion_by_definition(strengths, times, t)
+        report = comb_expansion_terms(strengths, times, t)
+        assert _bits(report.order0, report.order1, report.order2_defined) == _bits(
+            1.0, order1, order2)
+        assert list(report.indefinite) == flags
+        s = _strength_by_definition(strengths, times, t)
+        assert _bits(*comb_pitaron_expansion(strengths, times, t)) == _bits(
+            1.0 - 0.5 * s * s, -s)
+
+
+def test_truncated_norm_of_an_empty_comb_is_one():
+    assert type(comb_truncated_norm([], [], 3.0)) is float
+    assert comb_truncated_norm([], [], 3.0) == 1.0
+    assert comb_truncated_norm([], [], np.array([-1.0, 0.0, 2.0])).tolist() == [1.0, 1.0, 1.0]

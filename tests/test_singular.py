@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from pitaron_lab.singular_dynamics import (
     SmearedDelta,
     _cumulative_simpson,
-    StepFunction,
     comb_expansion_terms,
     comb_pitaron_expansion,
     comb_truncated_norm,
@@ -17,22 +16,23 @@ DIMB_STRENGTHS = [0.6, 1.0, 1.2, 0.8]
 DIMB_TIMES = [1.0, 2.0, 3.0, 4.0]
 
 
-class TestStepFunction:
-    def test_right_continuous_at_jumps(self):
-        step = StepFunction(base=0.0, jumps=((1.0, 0.5), (2.0, 0.25)))
-        assert step(0.999) == 0.0
-        assert step(1.0) == 0.5  # jump counts from its own instant
-        assert step(1.5) == 0.5
-        assert step(2.0) == 0.75
+CLOSED_FORMS = (comb_truncated_norm, comb_expansion_terms, comb_pitaron_expansion)
 
-    def test_base_offset(self):
-        step = StepFunction(base=2.0, jumps=((0.5, -1.0),))
-        assert step(0.0) == 2.0
-        assert step(0.5) == 1.0
 
-    def test_rejects_unordered_jumps(self):
-        with pytest.raises(ValueError, match="increasing"):
-            StepFunction(base=0.0, jumps=((2.0, 1.0), (1.0, 1.0)))
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("strengths, times, t, match", [
+    ([1.0, 1.0], [0.5, np.nan], 1.0, "finite"),  # NaN passes an ordering check
+    ([1.0], [np.inf], 1.0, "finite"),
+    ([np.inf], [0.5], 1.0, "finite"),
+    ([1.0], [0.5, 1.0], 1.0, "strengths"),
+    ([1.0], [0.5], np.nan, "t must be a time"),
+    ([1.0, 1.0], [2.0, 1.0], 3.0, "increasing"),
+    ([1.0, 1.0], [1.0, 1.0], 3.0, "increasing"),
+], ids=["nan_time", "inf_time", "inf_strength", "length", "nan_t", "unordered_times",
+        "repeated_times"])
+def test_closed_forms_reject_bad_kicks(closed_form, strengths, times, t, match):
+    with pytest.raises(ValueError, match=match):
+        closed_form(strengths, times, t)
 
 
 class TestSmearedDelta:
@@ -61,6 +61,13 @@ class TestCombTruncatedNorm:
     def test_unity_before_first_kick(self):
         assert comb_truncated_norm(DIMB_STRENGTHS, DIMB_TIMES, 0.5) == 1.0
 
+    def test_right_continuous_at_kicks(self):
+        # a kick counts from its own instant on
+        t = [0.999, 1.0, 1.5, 2.0]
+        expected = [1.0, 1.0 - 0.5 * 0.5**2, 1.0 - 0.5 * 0.5**2, 1.0 - 0.5 * 0.75**2]
+        assert [comb_truncated_norm([0.5, 0.25], [1.0, 2.0], at) for at in t] == expected
+        assert comb_truncated_norm([0.5, 0.25], [1.0, 2.0], np.array(t)).tolist() == expected
+
     def test_figure_staircase_values(self):
         values = [comb_truncated_norm(DIMB_STRENGTHS, DIMB_TIMES, t) for t in (1.0, 2.0, 3.0, 4.0)]
         assert_allclose(values, [0.82, -0.28, -2.92, -5.48], atol=1e-12)
@@ -84,15 +91,17 @@ class TestCombExpansionTerms:
         assert report.order0 == 1.0
         assert report.order1 == 0.0
         assert report.order2_defined == 0.0
-        assert report.indefinite == ()
+        assert report.indefinite == range(0)
 
     def test_single_kick_flags_its_own_square(self):
-        report = comb_expansion_terms([0.7], [1.0], 2.0)
+        strengths, times = [0.7], [1.0]
+        report = comb_expansion_terms(strengths, times, 2.0)
         assert report.order1 == pytest.approx(-0.7j)
         assert report.order2_defined == 0.0  # no earlier kick to pair with
-        assert len(report.indefinite) == 1
-        assert report.indefinite[0].coefficient == pytest.approx(-0.49)
-        assert report.indefinite[0].time == 1.0
+        assert report.indefinite == range(1)
+        (k,) = report.indefinite
+        assert -strengths[k] ** 2 == pytest.approx(-0.49)  # the flag's coefficient -V_k^2
+        assert times[k] == 1.0
 
     def test_figure_comb_full_interval(self):
         report = comb_expansion_terms(DIMB_STRENGTHS, DIMB_TIMES, 5.0)
@@ -126,10 +135,11 @@ class TestCombExpansionTerms:
                         if tj < tau:
                             before += vj
                     order2 -= v * before
-                    flags.append((i, tau, -v * v))
+                    flags.append(i)
             report = comb_expansion_terms(strengths, times, t)
-            assert report.order2_defined == complex(order2)
-            assert [(f.kick_index, f.time, f.coefficient) for f in report.indefinite] == flags
+            assert report.order2_defined.real.hex() == order2.hex()
+            assert report.order2_defined.imag.hex() == (0.0).hex()
+            assert list(report.indefinite) == flags
 
 
 class TestCombPitaronExpansion:
