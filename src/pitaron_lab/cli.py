@@ -320,7 +320,9 @@ def _run_nhse(cfg: ExperimentConfig):
 
 def _run_comb(cfg: ExperimentConfig):
     v = cfg.values
-    strengths, times, t1 = v["strengths"], v["times"], v["t1"]
+    # converted once, not once per callee; each callee still checks its arrays
+    strengths, times = (np.array(v[key], dtype=float) for key in ("strengths", "times"))
+    t1 = v["t1"]
     traj = _trajectory(ham.dirac_comb_spec(strengths, times, v["dim"]), cfg)
     # np.linspace ends the grid at t1 exactly, so n_trunc[-1] is the value at t1
     n_trunc = sing.comb_truncated_norm(strengths, times, traj.grid)
@@ -370,14 +372,9 @@ def _run_picard(cfg: ExperimentConfig):
     v = cfg.values
     if v["problem"] == "exponential":
         g, x1, n_max = v["g"], v["x1"], v["n_max"]
-
-        def reference(x):
-            # an exact solution beyond the float range is a numerical failure
-            with np.errstate(over="raise"):
-                return np.exp(g * x)
-
+        # an overflow in the iterates or in the exact solution raises FloatingPointError
         run = pic.picard_iterate(lambda x, y: g * y, 1.0, 0.0, x1, n_max, v["grid"],
-                                 reference=reference)
+                                 reference=lambda x: np.exp(g * x))
         # |y_n| <= e^{|g| x} on [0, x1], so K = max(|g|, 1) is a Lipschitz
         # constant of f = g y and M = K e^{|g| x1} bounds |f| for every finite
         # g; log M decides whether M is a float, and a bound that is not is inf

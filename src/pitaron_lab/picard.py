@@ -1,7 +1,10 @@
 """Picard successive approximations and where they break down.
 
 The iterates y_{n+1}(x) = y0 + int_x0^x f(x', y_n(x')) dx' are computed
-by cumulative trapezoid on a shared grid.  For bounded right-hand sides
+by cumulative trapezoid on a shared grid of at least 64 points, and every
+run, the breakdown's second iterates included, does its arithmetic under
+one overflow rule: an overflow raises ``FloatingPointError`` rather than
+leaving an inf in the result.  For bounded right-hand sides
 they converge at the classic factorial rate; for a delta right-hand side
 the second substitution produces an integral of delta times its own step
 whose smeared value depends on how the widths are sent to zero, so the
@@ -55,37 +58,45 @@ def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _grid(x0: float, x1: float, grid: int) -> tuple[np.ndarray, float]:
+    """The ``grid`` points of [x0, x1] every Picard run integrates on, and their step."""
+    if grid < 64:
+        raise ValueError(f"grid must have at least 64 points, got {grid}")
+    if not x1 > x0:
+        raise ValueError(f"need x1 > x0, got x0={x0}, x1={x1}")
+    return np.linspace(x0, x1, grid), (x1 - x0) / (grid - 1)
+
+
 def picard_iterate(rhs, y0: float, x0: float, x1: float, n_max: int,
                    grid: int, reference=None) -> PicardRun:
     """Run n_max successive substitutions of the integral equation.
 
     ``rhs(x, y)`` must accept array arguments.  A non-finite sample stops
     the run immediately with the offending location in the message; that
-    is the detector for genuinely singular right-hand sides.
+    is the detector for genuinely singular right-hand sides.  An overflow
+    anywhere in the run (in ``rhs``, a substitution, ``reference`` or the
+    error sweep) raises ``FloatingPointError``: no iterate or error is
+    ever an overflowed inf.
     """
-    if grid < 64:
-        raise ValueError(f"grid must have at least 64 points, got {grid}")
-    if not x1 > x0:
-        raise ValueError(f"need x1 > x0, got x0={x0}, x1={x1}")
-    xs = np.linspace(x0, x1, grid)
-    dx = (x1 - x0) / (grid - 1)
+    xs, dx = _grid(x0, x1, grid)
     iterates = np.empty((n_max + 1, grid))
     iterates[0] = y0
-    for n in range(n_max):
-        f = np.asarray(rhs(xs, iterates[n]), dtype=float)
-        if f.shape != xs.shape:
-            f = np.broadcast_to(f, xs.shape)
-        bad = ~np.isfinite(f)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"rhs returned a non-finite sample at x={float(xs[i]):g} "
-                f"(iterate {n}): the integrand is not a measurable function there"
-            )
-        iterates[n + 1] = y0 + _cumtrapz(f, dx)
+    with np.errstate(over="raise"):
+        for n in range(n_max):
+            f = np.asarray(rhs(xs, iterates[n]), dtype=float)
+            if f.shape != xs.shape:
+                f = np.broadcast_to(f, xs.shape)
+            bad = ~np.isfinite(f)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"rhs returned a non-finite sample at x={float(xs[i]):g} "
+                    f"(iterate {n}): the integrand is not a measurable function there"
+                )
+            iterates[n + 1] = y0 + _cumtrapz(f, dx)
 
-    ref = np.asarray(reference(xs), dtype=float) if reference is not None else iterates[-1]
-    errors = np.max(np.abs(iterates - ref), axis=1)
+        ref = np.asarray(reference(xs), dtype=float) if reference is not None else iterates[-1]
+        errors = np.max(np.abs(iterates - ref), axis=1)
     return PicardRun(xs=xs, iterates=iterates, errors=errors)
 
 
@@ -129,24 +140,22 @@ class BreakdownReport:
     asymmetric_spread: float
 
 
-def _second_iterate_mixed(a: float, eps_inner: float, eps_outer: float,
-                          x1: float, grid: int) -> float:
-    """y2(x1) for f(x, y) = delta_eps(x - a) y with level-dependent widths.
+def _second_iterate(inner: SmearedDelta, outer: SmearedDelta, x1: float,
+                    grid: int) -> float:
+    """y2(x1) for y' = delta(x - a) y, y(0) = 1, on [0, x1].
 
-    The first substitution uses the inner width, the second the outer
-    width, mirroring how each nested integral would be regularized
-    independently.  Causal kernels keep the half-mass split asymmetric.
+    The first substitution smears the delta by ``inner``, the second by
+    ``outer``, mirroring how each nested integral would be regularized
+    independently.  The grid step must resolve the finer of the two
+    widths, else ``ValueError``; an overflow raises ``FloatingPointError``.
     """
-    inner = SmearedDelta(kind="causal", epsilon=eps_inner, center=a)
-    outer = SmearedDelta(kind="causal", epsilon=eps_outer, center=a)
-    xs = np.linspace(0.0, x1, grid)
-    dx = x1 / (grid - 1)
-    if dx > min(eps_inner, eps_outer) / 8.0:
-        raise ValueError(
-            f"grid step {dx:.3e} cannot resolve width {min(eps_inner, eps_outer):.3e}"
-        )
-    y1 = 1.0 + _cumtrapz(inner.density(xs), dx)
-    y2 = 1.0 + _cumtrapz(outer.density(xs) * y1, dx)
+    xs, dx = _grid(0.0, x1, grid)
+    width = min(inner.scale, outer.scale)
+    if dx > width / 8.0:
+        raise ValueError(f"grid step {dx:.3e} cannot resolve smearing width {width:.3e}")
+    with np.errstate(over="raise"):
+        y1 = 1.0 + _cumtrapz(inner.density(xs), dx)
+        y2 = 1.0 + _cumtrapz(outer.density(xs) * y1, dx)
     return float(y2[-1])
 
 
@@ -166,30 +175,17 @@ def picard_delta_breakdown(a: float, epsilon: float, x1: float,
         raise ValueError("epsilon must be positive")
 
     eps_sequence = tuple(epsilon * f for f in (4.0, 2.0, 1.0))
-    symmetric = []
-    for eps in eps_sequence:
-        delta = SmearedDelta(kind="gaussian", epsilon=eps, center=a)
-        dx = x1 / (grid - 1)
-        if dx > delta.scale / 8.0:
-            raise ValueError(
-                f"grid step {dx:.3e} cannot resolve smearing width {delta.scale:.3e}"
-            )
-        run = picard_iterate(
-            lambda x, y, d=delta: d.density(x) * y,
-            y0=1.0, x0=0.0, x1=x1, n_max=2, grid=grid,
-        )
-        symmetric.append(float(run.iterates[2][-1]))
-
+    gaussians = [SmearedDelta(kind="gaussian", epsilon=eps, center=a) for eps in eps_sequence]
+    symmetric = tuple(_second_iterate(d, d, x1, grid) for d in gaussians)
     pairs = ((epsilon / 10.0, epsilon * 10.0), (epsilon * 10.0, epsilon / 10.0))
-    asymmetric = tuple(
-        _second_iterate_mixed(a, e1, e2, x1, grid) for e1, e2 in pairs
-    )
+    causal = [[SmearedDelta(kind="causal", epsilon=e, center=a) for e in pair] for pair in pairs]
+    asymmetric = tuple(_second_iterate(inner, outer, x1, grid) for inner, outer in causal)
     return BreakdownReport(
         eps_sequence=eps_sequence,
-        symmetric_second_iterates=tuple(symmetric),
+        symmetric_second_iterates=symmetric,
         asymmetric_pairs=pairs,
         asymmetric_second_iterates=asymmetric,
-        direct_value=math.e if x1 > a else 1.0,
+        direct_value=math.e,
         asymmetric_spread=float(max(asymmetric) - min(asymmetric)),
     )
 

@@ -418,7 +418,7 @@ class TestMainEntryPoint:
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
     def test_math_overflow_exits_three(self, tmp_path, capsys):
-        # exp(g * x1) = exp(1000) in the a-priori bound raises OverflowError
+        # the exact solution exp(g * x1) = exp(1000) overflows, whatever the caller's errstate
         config = {
             "kind": "picard",
             "output_path": "overflow",
@@ -466,6 +466,28 @@ class TestMainEntryPoint:
         bounds = [float(row["bound"]) for row in rows[1:]]
         assert len(bounds) == 300 and np.isfinite(bounds).all()
         assert bounds[170] < bounds[169]
+
+    @pytest.mark.parametrize("g, n_max", [(-800.0, 437), (-800.0, 438), (800.0, 1000),
+                                          (1e308, 3)],
+                             ids=["decay-437", "decay-438", "growth", "huge-g"])
+    def test_overflowing_picard_iterate_exits_three_without_a_warning(self, tmp_path, capsys,
+                                                                      g, n_max):
+        # an iterate of y' = g y passes the float range: no inf row, no "not measurable"
+        config = with_params(PICARD_EXP_CONFIG, g=g, n_max=n_max, grid=1000)
+        path = write_config(tmp_path, "cfg.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    @pytest.mark.parametrize("grid", [1, 2, 63])
+    def test_breakdown_grid_below_64_exits_two_and_writes_nothing(self, tmp_path, capsys, grid):
+        path = write_config(tmp_path, "cfg.json", with_params(BREAKDOWN_CONFIG, grid=grid))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "at least 64 points" in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
     def test_library_value_error_exits_two_and_later_configs_run(self, tmp_path, capsys):
         bad = json.loads(json.dumps(PAULI_CONFIG))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pitaron_lab.picard import (
     picard_delta_breakdown,
     picard_iterate,
 )
+from pitaron_lab.singular_dynamics import SmearedDelta
 
 
 class TestPicardIterate:
@@ -58,6 +60,13 @@ class TestPicardIterate:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError, match="64"):
             picard_iterate(lambda x, y: y, 1.0, 0.0, 1.0, 2, 32)
+
+    def test_overflowing_iterate_raises_floating_point_error(self):
+        # for y' = -800 y on [0, 1] an iterate passes the float range by n = 437
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                picard_iterate(lambda x, y: -800.0 * y, 1.0, 0.0, 1.0, 437, 1000)
 
 
 class TestErrorBound:
@@ -123,6 +132,39 @@ class TestDeltaBreakdown:
     def test_rejects_kick_outside_interval(self):
         with pytest.raises(ValueError, match="a < x1"):
             picard_delta_breakdown(3.0, 1e-2, 2.0)
+
+    @pytest.mark.parametrize("grid", [1, 2, 63])
+    def test_rejects_small_grid(self, grid):
+        with pytest.raises(ValueError, match="at least 64 points"):
+            picard_delta_breakdown(1.0, 1e-2, 2.0, grid=grid)
+
+
+def _trapezoid_second_iterate(inner, outer, x1, grid):
+    """y2(x1) by two cumulative trapezoid substitutions, written out."""
+    xs = np.linspace(0.0, x1, grid)
+    dx = x1 / (grid - 1)
+
+    def integral(values):
+        return np.concatenate(([0.0], np.cumsum((values[1:] + values[:-1]) * (dx / 2.0))))
+
+    y1 = 1.0 + integral(inner.density(xs))
+    return float((1.0 + integral(outer.density(xs) * y1))[-1])
+
+
+# (a, epsilon, x1, grid): the module fixture, the CLI's breakdown config and two more
+@pytest.mark.parametrize("a, epsilon, x1, grid", [
+    (1.0, 1e-2, 2.0, 32001), (0.5, 0.01, 1.0, 8001), (0.25, 0.02, 0.5, 2001),
+    (1.5, 0.05, 3.0, 6001)])
+def test_breakdown_values_keep_their_bits(a, epsilon, x1, grid):
+    report = picard_delta_breakdown(a, epsilon, x1, grid=grid)
+    for eps, value in zip(report.eps_sequence, report.symmetric_second_iterates):
+        d = SmearedDelta(kind="gaussian", epsilon=eps, center=a)
+        run = picard_iterate(lambda x, y: d.density(x) * y, 1.0, 0.0, x1, 2, grid)
+        assert value == run.iterates[2][-1]
+    for (e1, e2), value in zip(report.asymmetric_pairs, report.asymmetric_second_iterates):
+        inner, outer = (SmearedDelta(kind="causal", epsilon=e, center=a) for e in (e1, e2))
+        assert value == _trapezoid_second_iterate(inner, outer, x1, grid)
+    assert report.direct_value == math.e
 
 
 class TestIdentitySqrtFamily:
