@@ -152,9 +152,9 @@ MAX_DIM = 64
 # host).  A constant spec (constant model, nhse) is one exponential per
 # cell whatever steps_per_cell is, and a comb steps only its kicks.
 TRAJECTORY_MAX_PIECES = 2 * 10**4
-# grid_points x dim^2, the entries of each of the U, N and P stacks
-# (16 bytes each): at the cap, 128 snapshots of an l=64 chain take 0.25 s
-# and +25 MiB resident memory, most of it those stacks.
+# grid_points x dim^2, the entries of a trajectory's U stack (16 bytes
+# each): at the cap, 128 snapshots of an l=64 chain take ~0.2 s and +9 MiB
+# resident memory, 8 MiB of it that stack.
 SNAPSHOT_MAX_ENTRIES = 2**19
 # len(strengths) x dim^2, the entries of a comb's kick matrices.  At the
 # cap, 2^17 kicks at dim 1 take 0.8-0.9 s and +31 MiB resident memory, of
@@ -322,8 +322,17 @@ def _run_comb(cfg: ExperimentConfig):
     v = cfg.values
     # converted once, not once per callee; each callee still checks its arrays
     strengths, times = (np.array(v[key], dtype=float) for key in ("strengths", "times"))
-    t1 = v["t1"]
-    traj = _trajectory(ham.dirac_comb_spec(strengths, times, v["dim"]), cfg)
+    t0, t1 = v["t0"], v["t1"]
+    spec = ham.dirac_comb_spec(strengths, times, v["dim"])
+    # the trajectory steps only the kicks after t0, and the closed forms expand
+    # U(t, 0), so they take those kicks and none of them may lie in (t0, 0]
+    after = times > t0
+    before_zero = times[after & (times <= 0.0)]
+    if before_zero.size:
+        _fail(f"comb kick at t={before_zero[0]} lies in (t0, 0] = ({t0}, 0]: the comb "
+              "closed forms expand U(t, 0) and cannot take it")
+    strengths, times = strengths[after], times[after]
+    traj = _trajectory(spec, cfg)
     # np.linspace ends the grid at t1 exactly, so n_trunc[-1] is the value at t1
     n_trunc = sing.comb_truncated_norm(strengths, times, traj.grid)
     report = sing.comb_expansion_terms(strengths, times, t1)

@@ -14,12 +14,12 @@ the unitarization.
 ``pitaron(U)`` forms, from one singular value decomposition of U,
 N = (U U^dagger)^(-1/2), the manifestly unitary P = N @ U and the
 condition number of U, and it fails above ``COND_THRESHOLD``.  It is the
-one-matrix case of the stacked unitarization, the only route to N: a
-``Trajectory`` holds its results as stacked columns (U, N, P and one
-diagnostic per snapshot), bit for bit the same, the identity at t0
-included.  The three right-hand-side routines
-evaluate the evolution laws claimed for dN/dt so tests can compare them
-against finite differences of the definition.
+one-matrix case of the stacked unitarization, the only route to N.  A
+``Trajectory`` keeps one matrix stack, U, and one column per diagnostic:
+N and P of snapshot k are ``pitaron(traj.U[k])``, bit for bit the ones its
+columns were reduced from, the identity at t0 included.  The three
+right-hand-side routines evaluate the evolution laws claimed for dN/dt so
+tests can compare them against finite differences of the definition.
 
 Kick convention: a kick at time tau belongs to every interval with
 tau in (t0, t], i.e. left-open and right-closed.  This makes ordered
@@ -79,8 +79,8 @@ class PropagatorTriple:
     at rounding level (a few dim * eps) for every P returned, whatever
     cond_U is below the threshold.  N and P carry errors of order
     eps * cond_U (not eps * cond_U^2), and P equals N @ U to within about
-    dim * eps * cond_U.  Built by ``pitaron`` and, as a view of one
-    snapshot, by ``Trajectory.snapshots``.
+    dim * eps * cond_U.  Built by ``pitaron``, also for each snapshot of
+    ``Trajectory.snapshots``.
     """
 
     U: np.ndarray
@@ -93,19 +93,19 @@ class PropagatorTriple:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-gridded propagator snapshots as stacked columns.
+    """Time-gridded propagator snapshots: one matrix stack and diagnostic columns.
 
     Entry k of every column belongs to the snapshot at ``grid[k]``:
-    ``U``, ``N`` and ``P`` are ``(len(grid), dim, dim)`` stacks, and
+    ``U`` is the ``(len(grid), dim, dim)`` stack of U(grid[k], t0), and
     ``defect_U``, ``defect_P`` and ``cond_U`` (as in ``PropagatorTriple``),
     ``n_distance`` = ||N - 1||_F and ``z_factors`` (None without a
-    reference state) hold one float per snapshot.
+    reference state) hold one float per snapshot.  N and P are not kept:
+    those of snapshot k are ``pitaron(U[k])``, bit for bit the ones the
+    columns were reduced from.
     """
 
     grid: np.ndarray
     U: np.ndarray
-    N: np.ndarray
-    P: np.ndarray
     defect_U: np.ndarray
     defect_P: np.ndarray
     cond_U: np.ndarray
@@ -114,22 +114,19 @@ class Trajectory:
 
     @property
     def snapshots(self) -> tuple[PropagatorTriple, ...]:
-        """Each snapshot as a ``PropagatorTriple`` of views of the columns."""
-        return tuple(
-            PropagatorTriple(U=u, N=n, P=p, defect_U=du, defect_P=dp, cond_U=c)
-            for u, n, p, du, dp, c in zip(self.U, self.N, self.P, self.defect_U.tolist(),
-                                          self.defect_P.tolist(), self.cond_U.tolist())
-        )
+        """``pitaron`` of each snapshot's U, recomputed on every access."""
+        return tuple(pitaron(u) for u in self.U)
 
 
 # Bytes of complex128 matrices that one stacked step holds per operand: the
 # factors sampled, exponentiated and folded at once, and the snapshots of one
 # stacked SVD.  Larger stacks are walked in blocks; at dim 64 a block is 4
-# matrices.  A 41-snapshot dim-64 chain peaks at +0.3 MiB resident memory
-# over unitarizing snapshot by snapshot with this budget, +2.8 MiB with
-# 1 MiB and +12 MiB with 4 MiB.  So the Dyson node tree keeps its own
-# budget, series._TREE_BYTES (4 MiB): one budget large enough for the tree
-# would cost dim-64 trajectories that memory.
+# matrices.  Each SVD block allocates its own N, P and temporaries: a
+# 41-snapshot dim-64 chain peaks at +1.5 MiB resident memory over blocks of
+# one matrix with this budget, +5.9 MiB with 1 MiB and +16 MiB with 4 MiB.
+# So the Dyson node tree keeps its own budget, series._TREE_BYTES (4 MiB):
+# one budget large enough for the tree would cost dim-64 trajectories that
+# memory.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -217,7 +214,7 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int) -> np.nd
     Overflow while exponentiating or folding, or an exponent outside
     ``mat_exp``'s accuracy domain, raises ``FloatingPointError``.
     ``products`` is a stack of ``len(grid)`` matrices, so that
-    ``evolve_trajectory`` can reuse it as its N stack.
+    ``evolve_trajectory`` can turn it into its U stack in place.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -344,18 +341,17 @@ def pitaron(u) -> PropagatorTriple:
     non-finite entries raise ``FloatingPointError``.  It is the one-matrix
     case of the stacked unitarization that ``evolve_trajectory`` uses.
     """
-    u = _as_propagator(u)[None]
-    n, p = np.empty_like(u), np.empty_like(u)
-    defect_u, defect_p, cond, _ = _unitarize(u, n, p)
-    return PropagatorTriple(U=u[0], N=n[0], P=p[0], defect_U=float(defect_u[0]),
+    u = _as_propagator(u)
+    n, p, defect_u, defect_p, cond, _ = _unitarize(u[None])
+    return PropagatorTriple(U=u, N=n[0], P=p[0], defect_U=float(defect_u[0]),
                             defect_P=float(defect_p[0]), cond_U=float(cond[0]))
 
 
-def _unitarize(u: np.ndarray, n: np.ndarray, p: np.ndarray):
+def _unitarize(u: np.ndarray):
     """``pitaron`` of every matrix of the stack ``u``, from one stacked SVD.
 
-    Writes N and P into the stacks ``n`` and ``p`` and returns the columns
-    ``(defect_U, defect_P, cond_U, n_distance)``, n_distance = ||N - 1||_F.
+    Returns the stacks N and P and the columns ``(defect_U, defect_P,
+    cond_U, n_distance)``, n_distance = ||N - 1||_F, for that stack.
     Every entry has the bits of ``pitaron`` of its matrix alone; the
     norms are reduced per matrix by ``frob_stack``, as ``frob`` reduces
     them.  The first matrix that fails decides the error, as if the
@@ -376,19 +372,12 @@ def _unitarize(u: np.ndarray, n: np.ndarray, p: np.ndarray):
         )
     if stop < len(u):
         raise FloatingPointError("propagator has non-finite entries (overflow)")
-    # N and P go straight into their stacks, through as few block temporaries as may be
-    np.matmul(w, vh, out=p)
-    del vh
-    w_h = w.conj().swapaxes(-1, -2)
-    w /= s[:, None, :]
-    np.matmul(w, w_h, out=n)
-    del w, w_h
-    hermitize(n, out=n)
+    p = w @ vh
+    n = hermitize((w / s[:, None, :]) @ w.conj().swapaxes(-1, -2))
     eye = np.eye(u.shape[-1])
-    scratch = p.conj().swapaxes(-1, -2) @ p
-    defect_p = frob_stack(np.subtract(scratch, eye, out=scratch))
-    n_distance = frob_stack(np.subtract(n, eye, out=scratch))
-    return frob_stack((s * s - 1.0)[..., None]), defect_p, cond, n_distance
+    defect_p = frob_stack(p.conj().swapaxes(-1, -2) @ p - eye)
+    defect_u = frob_stack((s * s - 1.0)[..., None])
+    return n, p, defect_u, defect_p, cond, frob_stack(n - eye)
 
 
 def _reference_norm(psi: np.ndarray, dim: int) -> float:
@@ -491,13 +480,13 @@ def evolve_trajectory(
     constant spec takes one exponential per cell between kicks, so
     ``steps_per_cell`` (still at least 1) does not change its U; each
     distinct cell width is exponentiated once, in a table dropped on
-    return.  The snapshots are unitarized by one stacked SVD per block,
-    which writes N and P into the trajectory's stacks and reduces the
-    diagnostics in the block.  Stacks of factors and of snapshots are
-    walked in blocks of ``_BLOCK_BYTES`` per operand; beside the U, N and
-    P stacks a call holds a few numbers per piece (and a constant spec
-    its table).
-    Every snapshot is bit-identical to ``pitaron`` of
+    return.  The scan turns the stack of cell products into the U stack in
+    place.  The snapshots are unitarized by one stacked SVD per block,
+    whose N and P are reduced to the diagnostic columns and dropped.
+    Stacks of factors and of snapshots are walked in blocks of
+    ``_BLOCK_BYTES`` per operand; beside the U stack a call holds a few
+    numbers per piece (and a constant spec its table).
+    Every snapshot's U and columns are bit-identical to ``pitaron`` of
     ``step_propagator`` of its cell times the snapshot before it, and the
     first snapshot that fails raises as ``pitaron`` would; an overflow
     while stepping raises ``FloatingPointError`` before any of them.
@@ -511,22 +500,16 @@ def evolve_trajectory(
         psi0 = np.asarray(psi0, dtype=np.complex128)
         _reference_norm(psi0, spec.dim)
 
-    # the stack of cell products becomes the N stack once the scan has read it: that
-    # spares the SVD blocks a fresh stack where the products' memory would lie idle
-    n = _cell_products(spec, grid, steps_per_cell)
-    u = np.empty_like(n)
-    u[0] = np.eye(spec.dim)
+    u = _cell_products(spec, grid, steps_per_cell)  # u[0] is the identity
     # an overflow here leaves a non-finite snapshot, reported in snapshot order below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid_points - 1):
-            u[k + 1] = n[k + 1] @ u[k]
-    p = np.empty_like(u)
+        for k in range(1, grid_points):
+            u[k] = u[k] @ u[k - 1]
     block = _block(spec.dim)
-    columns = [_unitarize(u[lo:lo + block], n[lo:lo + block], p[lo:lo + block])
-               for lo in range(0, grid_points, block)]
+    columns = [_unitarize(u[lo:lo + block])[2:] for lo in range(0, grid_points, block)]
     defect_u, defect_p, cond, n_distance = (np.concatenate(c) for c in zip(*columns))
     return Trajectory(
-        grid=grid, U=u, N=n, P=p, defect_U=defect_u, defect_P=defect_p, cond_U=cond,
+        grid=grid, U=u, defect_U=defect_u, defect_P=defect_p, cond_U=cond,
         n_distance=n_distance, z_factors=None if psi0 is None else z_factor(u, psi0),
     )
 

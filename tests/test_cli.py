@@ -173,6 +173,19 @@ class TestRunExperiment:
         assert summary["results"]["indefinite_flags"] == 4
         assert any("indefinite" in w for w in summary["warnings"])
 
+    @pytest.mark.parametrize("t0, times", [(0.0, [-1.0, 1.0]), (2.0, [1.0, 3.0])],
+                             ids=["kick-before-zero", "kick-before-t0"])
+    def test_comb_outputs_take_only_the_kicks_after_t0(self, tmp_path, t0, times):
+        # the trajectory steps one kick, of strength 0.5: S = 0.5 from it on
+        config = with_params(COMB_CONFIG, strengths=[1.0, 0.5], times=times, t0=t0,
+                             t1=t0 + 2.0, grid_points=5, steps_per_cell=1)
+        results = run_experiment(validate_config(config), tmp_path)["results"]
+        _, rows = read_csv(tmp_path / "comb_run.csv")
+        assert [float(row["n_trunc"]) for row in rows] == [1.0, 1.0, 0.875, 0.875, 0.875]
+        assert results["final_n_trunc"] == 0.875
+        assert results["indefinite_flags"] == 1
+        assert (results["pitaron_expansion_re"], results["pitaron_expansion_im"]) == (0.875, -0.5)
+
     def test_nhse_records_warning_and_contrast(self, tmp_path):
         cfg = validate_config(NHSE_CONFIG)
         summary = run_experiment(cfg, tmp_path)
@@ -487,6 +500,16 @@ class TestMainEntryPoint:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "at least 64 points" in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    def test_comb_kick_between_t0_and_zero_exits_two_and_writes_nothing(self, tmp_path,
+                                                                        capsys):
+        config = with_params(COMB_CONFIG, strengths=[1.0, 0.5], times=[-0.5, 1.0], t0=-1.0,
+                             t1=1.0, grid_points=5, steps_per_cell=1)
+        path = write_config(tmp_path, "cfg.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "kick at t=-0.5" in err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
     def test_library_value_error_exits_two_and_later_configs_run(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,6 +331,8 @@ class TestEvolveTrajectory:
         assert np.array_equal(first.P, eye)
         assert first.defect_U == first.defect_P == 0.0
         assert first.cond_U == 1.0
+        assert traj.defect_U[0] == traj.defect_P[0] == traj.n_distance[0] == 0.0
+        assert traj.cond_U[0] == 1.0
 
     def test_hermitian_spec_has_trivial_n(self):
         spec = pauli_hamiltonian(np.cos, np.sin, 0.5)
@@ -371,14 +374,27 @@ class TestEvolveTrajectory:
     def test_columns_hold_the_snapshots(self, rng):
         spec = _kicked_nonhermitian_spec(rng)
         traj = evolve_trajectory(spec, 0.0, 2.0, 5, 7, psi0=[1.0, 0.0, 1j])
-        assert traj.U.shape == traj.N.shape == traj.P.shape == (5, 3, 3)
+        assert traj.U.shape == (5, 3, 3)
         for k, snap in enumerate(traj.snapshots):
             _assert_same_triple(snap, pitaron(traj.U[k]))
-            assert np.array_equal(snap.N, traj.N[k]) and np.array_equal(snap.P, traj.P[k])
             assert (snap.defect_U, snap.defect_P, snap.cond_U) == \
                 (traj.defect_U[k], traj.defect_P[k], traj.cond_U[k])
             assert traj.n_distance[k] == frob(snap.N - np.eye(3))
             assert traj.z_factors[k] == z_factor(snap.U, [1.0, 0.0, 1j])
+
+    def test_a_trajectory_holds_one_matrix_stack(self):
+        # N and P of a snapshot are pitaron(traj.U[k]): beside U only block temporaries
+        spec = HamiltonianSpec.constant(nhse_hamiltonian(64, 0.0, 1.0, 0.5))
+        evolve_trajectory(spec, 0.0, 1.0, 2, 1)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            traj = evolve_trajectory(spec, 0.0, 4.0, 128, 1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mib = 1 << 20
+        assert retained <= traj.U.nbytes + mib // 2
+        assert peak <= traj.U.nbytes + 4 * mib
 
     def test_huge_reference_state_is_rejected_before_stepping(self, monkeypatch):
         monkeypatch.setattr(propagation, "mat_exp", lambda a: pytest.fail("stepped"))
@@ -436,11 +452,8 @@ def _assert_same_triple(a, b):
 
 
 def _assert_same_trajectory(a, b):
-    assert np.array_equal(a.grid, b.grid)
-    assert np.array_equal(a.z_factors, b.z_factors)
-    assert np.array_equal(a.n_distance, b.n_distance)
-    for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
-        _assert_same_triple(sa, sb)
+    for column in ("grid", "U", "defect_U", "defect_P", "cond_U", "n_distance", "z_factors"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 
 class TestConstantSpecReuse:
@@ -593,8 +606,11 @@ class TestStackedStepper:
         traj = evolve_trajectory(spec, 0.0, 2.0, 4, 7)
         g = traj.grid
         for k in range(1, len(g)):
-            u = step_propagator(spec, g[k - 1], g[k], 7) @ traj.snapshots[k - 1].U
-            _assert_same_triple(traj.snapshots[k], pitaron(u))
+            triple = pitaron(step_propagator(spec, g[k - 1], g[k], 7) @ traj.U[k - 1])
+            n_distance = frob(triple.N - np.eye(spec.dim))
+            assert np.array_equal(traj.U[k], triple.U)
+            assert (traj.defect_U[k], traj.defect_P[k], traj.cond_U[k], traj.n_distance[k]) == \
+                (triple.defect_U, triple.defect_P, triple.cond_U, n_distance)
 
     @pytest.mark.parametrize("block", [None, 4], ids=["default", "four_matrix_blocks"])
     def test_ill_conditioned_snapshot_mid_trajectory_raises_its_cond(self, monkeypatch,
