@@ -14,13 +14,13 @@ nodes, weights and summation order of the scalar recursion.  One nested
 pass to the highest order needed yields every lower order too, so each
 expansion samples H through a single quadrature.
 
-The N and P expansions keep every adjoint separate, so they hold for
-non-Hermitian H; for Hermitian H they reduce to the textbook forms.
-
-Second-order commutator and anticommutator integrals are assembled from
-the shared iterated integral and its adjoint; by linearity of the
-quadrature this equals running the same nested rule directly on the
-commutator or anticommutator integrand.
+U^-1, N and P follow from the Dyson terms of U by their definitions,
+U^-1 U = 1, N^2 = (U U^dagger)^-1 and P = N U, solved order by order as
+``pitaron`` applies them numerically.  Every adjoint stays separate, so
+they hold for non-Hermitian, non-normal H and reduce to the textbook
+forms for Hermitian H.  By linearity of the quadrature, their commutator
+and anticommutator integrals equal the same nested rule run directly on
+those integrands.
 
 Kicked specs are rejected throughout: with delta kicks the integrands
 contain products of distributions whose value is indefinite, and the
@@ -146,6 +146,8 @@ def _iterated(spec: HamiltonianSpec, t0: float, upper: float, depth: int,
     ``upper`` are read at the last node of each level.  Trees above
     ``_TREE_BYTES`` of samples are walked in blocks of outer nodes.
     """
+    if not (np.isfinite(t0) and np.isfinite(upper)):
+        raise ValueError(f"t0 and t must be finite times, got t0={t0}, t={upper}")
     if depth == 0 or upper == t0:
         return [np.zeros((spec.dim, spec.dim), dtype=np.complex128)
                 for _ in range(depth)]
@@ -169,38 +171,58 @@ def dyson_u(spec: HamiltonianSpec, t0: float, t: float, order: int,
     return _assemble([(-1j) ** k * level for k, level in enumerate(levels)])
 
 
+def _product(x, y) -> list[np.ndarray]:
+    """Cauchy product of two series of equal length: term k is sum_j x_j y_(k-j)."""
+    return [sum((x[j] @ y[k - j] for j in range(k + 1)), np.zeros_like(x[0]))
+            for k in range(len(x))]
+
+
+def _inverse(u) -> list[np.ndarray]:
+    """Terms of U^-1 from those of U: v_0 = 1, v_n = -(u_1 v_(n-1) + ... + u_n v_0)."""
+    v = [u[0]]
+    for n in range(1, len(u)):
+        v.append(-sum((u[j] @ v[n - j] for j in range(1, n + 1)), np.zeros_like(u[0])))
+    return v
+
+
+def _normalization(u) -> list[np.ndarray]:
+    """Terms of N = (U U^dagger)^(-1/2) from those of U.
+
+    N^2 = V^dagger V with V = U^-1, solved order by order from N_0 = 1 as
+    2 N_k = M_k - (N_1 N_(k-1) + ... + N_(k-1) N_1), M = V^dagger V.
+    """
+    v = _inverse(u)
+    m = _product([x.conj().T for x in v], v)
+    n = [m[0]]
+    for k in range(1, len(m)):
+        n.append(0.5 * (m[k] - sum((n[j] @ n[k - j] for j in range(1, k)), np.zeros_like(m[0]))))
+    return n
+
+
 def dyson_u_inverse(spec: HamiltonianSpec, t0: float, t: float, order: int,
                     panels: int) -> SeriesExpansion:
     """Expansion of U(t, t0)^-1, fixed by demanding U^-1 U = 1 order by order.
 
-    With u_k the terms of the forward expansion, v_0 = 1 and
-    v_n = -(u_1 v_{n-1} + ... + u_n v_0); at second order this is
-    1 + i int H - (int H)^2 + int int H H.
+    At second order this is 1 + i int H - (int H)^2 + int int H H.
     """
     _reject_kicks(spec, "dyson_u_inverse")
-    u_terms = dyson_u(spec, t0, t, order, panels).terms
-    v_terms: list[np.ndarray] = [np.eye(spec.dim, dtype=np.complex128)]
-    for n in range(1, order + 1):
-        acc = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-        for j in range(1, n + 1):
-            acc = acc + u_terms[j] @ v_terms[n - j]
-        v_terms.append(-acc)
-    return _assemble(v_terms)
+    return _assemble(_inverse(dyson_u(spec, t0, t, order, panels).terms))
 
 
 def general_norm_expansion(spec: HamiltonianSpec, t0: float, t: float,
                            panels: int = 64) -> SeriesExpansion:
     """Second-order normalization expansion without Hermiticity assumptions.
 
-    With A = int H and B = int int H H (iterated, from one nested pass),
-    the square-root Taylor expansion of ((U^dagger)^-1 U^-1)^(1/2) keeps
-    every adjoint separate:
+    N = (U U^dagger)^(-1/2) solved order by order on the order-2 Dyson
+    terms of U, the definition ``pitaron`` applies numerically.  With
+    A = int H and B = int int H H (iterated, from one nested pass), so that
+    U = 1 - i A - B + ..., every adjoint is kept separate:
 
         N = 1 + (i/2) A - (i/2) A^dagger
-              - (3/8) A^2 - (3/8) A^dagger^2 + (1/4) A^dagger A
+              - (3/8) A^2 - (3/8) A^dagger^2 + (3/8) A^dagger A - (1/8) A A^dagger
               + (1/2) B + (1/2) B^dagger + ...
 
-    where |A|^2 = A^dagger A.  For Hermitian H this is
+    For Hermitian H this is
     N = 1 - (1/2) A^2 + (1/2)(B + B^dagger) + ..., with B + B^dagger the
     iterated integral of {H(t'), H(t'')}: the first-order term vanishes
     and the two quadratic pieces cancel whenever the swap of integration
@@ -208,28 +230,18 @@ def general_norm_expansion(spec: HamiltonianSpec, t0: float, t: float,
     Hermitian evolution.
     """
     _reject_kicks(spec, "general_norm_expansion")
-    a, b = _iterated(spec, t0, t, 2, panels)
-    ad = a.conj().T
-    second = (
-        -0.375 * (a @ a)
-        - 0.375 * (ad @ ad)
-        + 0.25 * (ad @ a)
-        + 0.5 * (b + b.conj().T)
-    )
-    terms = [
-        np.eye(spec.dim, dtype=np.complex128),
-        0.5j * a - 0.5j * ad,
-        second,
-    ]
-    return _assemble(terms)
+    return _assemble(_normalization(dyson_u(spec, t0, t, 2, panels).terms))
 
 
 def general_pitaron_expansion(spec: HamiltonianSpec, t0: float, t: float,
                               panels: int = 64) -> SeriesExpansion:
     """Second-order unitarized expansion without Hermiticity assumptions.
 
+    P = N U, the product of the expansion of ``general_norm_expansion``
+    and the order-2 Dyson terms of U, from the same nested pass:
+
         P = 1 - (i/2) A - (i/2) A^dagger
-              + (1/8) A^2 - (3/8) A^dagger^2 - (1/4) A^dagger A
+              + (1/8) A^2 - (3/8) A^dagger^2 - (1/8) A^dagger A - (1/8) A A^dagger
               - (1/2) B + (1/2) B^dagger + ...
 
     with A and B as in ``general_norm_expansion``.  For Hermitian H this is
@@ -240,21 +252,8 @@ def general_pitaron_expansion(spec: HamiltonianSpec, t0: float, t: float,
     is the identity, their exact unitarization being trivial.
     """
     _reject_kicks(spec, "general_pitaron_expansion")
-    a, b = _iterated(spec, t0, t, 2, panels)
-    ad = a.conj().T
-    second = (
-        0.125 * (a @ a)
-        - 0.375 * (ad @ ad)
-        - 0.25 * (ad @ a)
-        - 0.5 * b
-        + 0.5 * b.conj().T
-    )
-    terms = [
-        np.eye(spec.dim, dtype=np.complex128),
-        -0.5j * a - 0.5j * ad,
-        second,
-    ]
-    return _assemble(terms)
+    u = dyson_u(spec, t0, t, 2, panels).terms
+    return _assemble(_product(_normalization(u), u))
 
 
 def log_log_slope(lengths, errors) -> float | None:

@@ -13,8 +13,9 @@ import pytest
 import pitaron_lab as pl
 from pitaron_lab.hamiltonian import SIGMA1, SIGMA3, HamiltonianSpec
 from pitaron_lab.linalg import frob, mat_exp, unitarity_defect
+from pitaron_lab.series import log_log_slope
 
-from oracles import lyapunov_quadrature, newton_polar, random_ginibre, random_pd
+from oracles import lyapunov_quadrature, newton_polar, random_ginibre, random_pd, series_exp
 
 NONHER_HH = np.diag([1.0, 2.0]).astype(complex)
 NONHER_J = np.diag([0.3, -0.1]).astype(complex)
@@ -135,8 +136,23 @@ def test_c07_dyson_convergence_and_unitarized_defect():
         raw = pl.dyson_u(spec, 0.0, T, 2, 32).partial_sums[-1]
         unitarized = pl.general_pitaron_expansion(spec, 0.0, T, 32).partial_sums[-1]
         assert unitarity_defect(unitarized) <= unitarity_defect(raw)
+    # the order-2 N and P expansions of the constant non-normal h2 against the polar oracle
+    nonnormal = HamiltonianSpec.constant(h2)
+    err_n, err_p = [], []
+    for T in T_grid:
+        u = series_exp(-1j * T * h2)
+        p = newton_polar(u)
+        err_n.append(frob(pl.general_norm_expansion(nonnormal, 0.0, T, 16).partial_sums[-1]
+                          - p @ np.linalg.inv(u)))
+        err_p.append(frob(pl.general_pitaron_expansion(nonnormal, 0.0, T, 16).partial_sums[-1] - p))
+    slope_n = log_log_slope(T_grid, err_n)
+    slope_p = log_log_slope(T_grid, err_p)
+    assert slope_n == pytest.approx(3.0, abs=0.3)
+    assert slope_p == pytest.approx(3.0, abs=0.3)
     _ok(7, f"slopes {slope1:.2f} (2.0 +/- 0.2) and {slope2:.2f} (3.0 +/- 0.3); "
-           "unitarized expansion defect <= raw defect at all 7 sampled T")
+           "unitarized expansion defect <= raw defect at all 7 sampled T; "
+           f"order-2 N and P slopes {slope_n:.2f} and {slope_p:.2f} (3.0 +/- 0.3) "
+           "for sigma3 - 0.5i sigma1")
 
 
 def test_c08_comb_closed_forms():

@@ -176,6 +176,24 @@ class TestNodeTree:
             dyson_u(scalar_spec(1.0), 0.0, 1.0, 2, 0)
 
 
+EXPANSIONS = {
+    "dyson_u": lambda spec, t0, t: dyson_u(spec, t0, t, 2, 4),
+    "dyson_u_inverse": lambda spec, t0, t: dyson_u_inverse(spec, t0, t, 2, 4),
+    "general_norm_expansion": lambda spec, t0, t: general_norm_expansion(spec, t0, t, 4),
+    "general_pitaron_expansion": lambda spec, t0, t: general_pitaron_expansion(spec, t0, t, 4),
+}
+
+
+@pytest.mark.parametrize("t0, t", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)])
+@pytest.mark.parametrize("spec", [constant_spec(SIGMA1), HamiltonianSpec(dim=2, smooth=None),
+                                  pauli_hamiltonian(np.cos, np.sin, 0.5)],
+                         ids=["constant", "zero", "pauli"])
+@pytest.mark.parametrize("name", sorted(EXPANSIONS))
+def test_non_finite_times_raise(name, spec, t0, t):
+    with pytest.raises(ValueError, match=f"finite times, got t0={t0}, t={t}"):
+        EXPANSIONS[name](spec, t0, t)
+
+
 class TestDysonUInverse:
     def test_constant_scalar_terms(self):
         c, T = 0.6, 1.1
@@ -248,7 +266,7 @@ class TestHermitianExpansions:
         assert_allclose(exp.partial_sums[-1], np.eye(2), atol=1e-15)
 
 
-def _hermitian_a_b(spec, T, panels):
+def _a_b(spec, T, panels):
     """A = int H and B = int int H H from the Dyson terms -iA and -B."""
     terms = dyson_u(spec, 0.0, T, 2, panels).terms
     return 1j * terms[1], -terms[2]
@@ -258,7 +276,7 @@ class TestGeneralExpansions:
     def test_hermitian_reduction_norm(self):
         # Hermitian H: N = 1 + 0 - (1/2) A^2 + (1/2)(B + B^dagger)
         spec = pauli_hamiltonian(np.cos, np.sin, 0.5)
-        a, b = _hermitian_a_b(spec, 1.0, 64)
+        a, b = _a_b(spec, 1.0, 64)
         general = general_norm_expansion(spec, 0.0, 1.0, 64)
         assert frob(general.terms[1]) == 0.0
         assert_allclose(general.terms[2], -0.5 * (a @ a) + 0.5 * (b + b.conj().T),
@@ -267,7 +285,7 @@ class TestGeneralExpansions:
     def test_hermitian_reduction_pitaron(self):
         # Hermitian H: P = 1 - iA - (1/2) A^2 - (1/2)(B - B^dagger)
         spec = pauli_hamiltonian(np.cos, np.sin, 0.5)
-        a, b = _hermitian_a_b(spec, 1.0, 64)
+        a, b = _a_b(spec, 1.0, 64)
         general = general_pitaron_expansion(spec, 0.0, 1.0, 64)
         assert_allclose(general.terms[1], -1j * a, rtol=0, atol=1e-15)
         assert_allclose(general.terms[2], -0.5 * (a @ a) - 0.5 * (b - b.conj().T),
@@ -290,6 +308,19 @@ class TestGeneralExpansions:
         spec = HamiltonianSpec(dim=2, smooth=None)
         assert_allclose(general_norm_expansion(spec, 0.0, 1.0, 8).partial_sums[-1], np.eye(2))
         assert_allclose(general_pitaron_expansion(spec, 0.0, 1.0, 8).partial_sums[-1], np.eye(2))
+
+    def test_non_normal_closed_forms(self):
+        # A and A^dagger do not commute: N_2 and P_2 keep both orderings of the pair
+        spec = TREE_SPECS["nonhermitian3"]
+        a, b = _a_b(spec, 0.7, 32)
+        ad, bd = a.conj().T, b.conj().T
+        norm = general_norm_expansion(spec, 0.0, 0.7, 32)
+        pit = general_pitaron_expansion(spec, 0.0, 0.7, 32)
+        assert frob(ad @ a - a @ ad) > 1.0
+        assert_allclose(norm.terms[2], -0.375 * (a @ a + ad @ ad) + 0.375 * (ad @ a)
+                        - 0.125 * (a @ ad) + 0.5 * (b + bd), rtol=0, atol=1e-14)
+        assert_allclose(pit.terms[2], 0.125 * (a @ a) - 0.375 * (ad @ ad)
+                        - 0.125 * (ad @ a + a @ ad) - 0.5 * b + 0.5 * bd, rtol=0, atol=1e-14)
 
 
 class TestUnitarityDefects:
