@@ -324,13 +324,7 @@ def _run_comb(cfg: ExperimentConfig):
     strengths, times = (np.array(v[key], dtype=float) for key in ("strengths", "times"))
     t0, t1 = v["t0"], v["t1"]
     spec = ham.dirac_comb_spec(strengths, times, v["dim"])
-    # the trajectory steps only the kicks after t0, and the closed forms expand
-    # U(t, 0), so they take those kicks and none of them may lie in (t0, 0]
-    after = times > t0
-    before_zero = times[after & (times <= 0.0)]
-    if before_zero.size:
-        _fail(f"comb kick at t={before_zero[0]} lies in (t0, 0] = ({t0}, 0]: the comb "
-              "closed forms expand U(t, 0) and cannot take it")
+    after = times > t0  # the kicks the trajectory steps, so the closed forms take those
     strengths, times = strengths[after], times[after]
     traj = _trajectory(spec, cfg)
     # np.linspace ends the grid at t1 exactly, so n_trunc[-1] is the value at t1
@@ -360,8 +354,8 @@ def _run_dyson(cfg: ExperimentConfig):
     # constant H: the exact propagators, in one stacked call
     exacts = mat_exp(np.array([-1j * T * ham.SIGMA1 for T in T_list]))
     for T, exact in zip(T_list, exacts):
-        pit = series.general_pitaron_expansion(spec, 0.0, T, panels)
-        dyson = series.dyson_u(spec, 0.0, T, max(orders), panels)
+        dyson = series.dyson_u(spec, 0.0, T, max(2, *orders), panels)
+        pit = series._pitaron_series(dyson.terms[:3])
         for order in orders:
             partial_sum = dyson.partial_sums[order]
             columns["T"].append(T)
@@ -506,7 +500,7 @@ def _counterexample_limit(v: dict, where: str) -> None:
 
 
 def _dyson_limit(v: dict, where: str) -> None:
-    depth = max(2, *v["orders"])  # the Pitaron expansion is a depth-2 pass of its own
+    depth = max(2, *v["orders"])  # the one pass per T also yields P's order-2 terms
     nodes = len(v["T_list"]) * (2 * v["panels"] + 1) ** depth
     if nodes > DYSON_MAX_NODES:
         _fail(f"{where}: dyson makes {len(v['T_list'])} nested quadratures of "

@@ -120,11 +120,9 @@ def unitarity_defect(a: np.ndarray) -> float:
     return frob(a.conj().T @ a - np.eye(a.shape[0]))
 
 
-def hermitize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(A + A^dagger) / 2, for one matrix or each of a stack, into ``out`` if given."""
-    out = np.add(a, a.conj().swapaxes(-1, -2), out=out)
-    out /= 2
-    return out
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """(A + A^dagger) / 2, for one matrix or each of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def simpson_grid(a: float, b, panels: int):

@@ -42,6 +42,7 @@ from .linalg import frob, simpson_grid, simpson_pattern
 
 MAX_ORDER = 4  # nested quadrature cost grows as panels**order
 _TREE_BYTES = 1 << 22  # samples of the Dyson node tree held at once
+_OVERFLOW_RAISES = np.errstate(over="raise", invalid="raise")  # for the tree and the algebra
 
 __all__ = [
     "MAX_ORDER",
@@ -146,8 +147,8 @@ def _iterated(spec: HamiltonianSpec, t0: float, upper: float, depth: int,
     ``upper`` are read at the last node of each level.  Trees above
     ``_TREE_BYTES`` of samples are walked in blocks of outer nodes.
     """
-    if not (np.isfinite(t0) and np.isfinite(upper)):
-        raise ValueError(f"t0 and t must be finite times, got t0={t0}, t={upper}")
+    if not np.isfinite(float(upper) - float(t0)):
+        raise ValueError(f"t - t0 must be a finite span of finite times, got t0={t0}, t={upper}")
     if depth == 0 or upper == t0:
         return [np.zeros((spec.dim, spec.dim), dtype=np.complex128)
                 for _ in range(depth)]
@@ -155,6 +156,7 @@ def _iterated(spec: HamiltonianSpec, t0: float, upper: float, depth: int,
     return lower + [top[0]]
 
 
+@_OVERFLOW_RAISES
 def dyson_u(spec: HamiltonianSpec, t0: float, t: float, order: int,
             panels: int) -> SeriesExpansion:
     """Iterated-integral expansion of U(t, t0) through ``order``.
@@ -199,6 +201,7 @@ def _normalization(u) -> list[np.ndarray]:
     return n
 
 
+@_OVERFLOW_RAISES
 def dyson_u_inverse(spec: HamiltonianSpec, t0: float, t: float, order: int,
                     panels: int) -> SeriesExpansion:
     """Expansion of U(t, t0)^-1, fixed by demanding U^-1 U = 1 order by order.
@@ -209,6 +212,7 @@ def dyson_u_inverse(spec: HamiltonianSpec, t0: float, t: float, order: int,
     return _assemble(_inverse(dyson_u(spec, t0, t, order, panels).terms))
 
 
+@_OVERFLOW_RAISES
 def general_norm_expansion(spec: HamiltonianSpec, t0: float, t: float,
                            panels: int = 64) -> SeriesExpansion:
     """Second-order normalization expansion without Hermiticity assumptions.
@@ -252,7 +256,12 @@ def general_pitaron_expansion(spec: HamiltonianSpec, t0: float, t: float,
     is the identity, their exact unitarization being trivial.
     """
     _reject_kicks(spec, "general_pitaron_expansion")
-    u = dyson_u(spec, t0, t, 2, panels).terms
+    return _pitaron_series(dyson_u(spec, t0, t, 2, panels).terms)
+
+
+@_OVERFLOW_RAISES
+def _pitaron_series(u) -> SeriesExpansion:
+    """P = N U from the terms of U, through the order of ``u``."""
     return _assemble(_product(_normalization(u), u))
 
 

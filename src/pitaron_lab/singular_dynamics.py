@@ -175,8 +175,8 @@ def comb_truncated_norm(strengths, times, t):
 class CombExpansionReport:
     """Defined terms of the comb propagator expansion plus indefinite flags.
 
-    ``indefinite`` is the range of the indices k of the kicks inside
-    (0, t], one flag each: the integral of delta(t' - t_k) Theta(t' - t_k)
+    ``indefinite`` is the range of the indices k of the given kicks at or
+    before t, one flag each: the integral of delta(t' - t_k) Theta(t' - t_k)
     at the kick time t_k, which has no canonical value, so only its
     prefactor -V_k^2 is known and the integral stays a status.
     """
@@ -188,31 +188,29 @@ class CombExpansionReport:
 
 
 def comb_expansion_terms(strengths, times, t: float) -> CombExpansionReport:
-    """Expansion of U(t, 0) for a kick comb, evaluated exactly where defined.
+    """Expansion of U(t, t0) for a kick comb, t0 before its first kick.
 
     Order one integrates each delta to a step.  At order two the cross
     terms (distinct kicks) are ordinary numbers, the sum of -V_k S(t_k^-)
-    over the kicks inside (0, t] in time order, but each kick also
+    over the given kicks at or before t in time order, but each kick also
     produces an integral of its own delta against its own step, which is
     a product of distributions at the same point: those terms are
-    reported as indefinite, one flag per kick inside (0, t].
+    reported as indefinite, one flag per kick at or before t.
     """
     strengths, times, running = _running_strength(strengths, times)
-    lo, hi = _through(times, [0.0, t])
-    flags = range(lo, hi)  # empty for t <= 0
-    cross = strengths[lo:hi] * running[lo:hi]
+    hi = _through(times, t)
     # cumsum adds in time order, as a kick-by-kick loop does (np.sum adds pairwise)
-    order2 = 0.0 - np.cumsum(cross)[-1] if flags else 0.0
+    order2 = 0.0 - np.cumsum(strengths[:hi] * running[:hi])[-1] if hi else 0.0
     return CombExpansionReport(
         order0=1.0 + 0.0j,
         order1=-1j * float(running[hi]),
         order2_defined=complex(order2),
-        indefinite=flags,
+        indefinite=range(hi),
     )
 
 
 def comb_pitaron_expansion(strengths, times, t: float) -> tuple[float, float]:
-    """Order-2 unitarized comb expansion: 1 - i S - S^2/2 with S cumulative.
+    """Order-2 unitarized comb expansion of U(t, t0): 1 - i S - S^2/2.
 
     The indefinite one-kick products cancel between the propagator and
     normalization expansions before any integral is taken, leaving the

@@ -502,15 +502,17 @@ class TestMainEntryPoint:
         assert "config error" in err and "at least 64 points" in err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
-    def test_comb_kick_between_t0_and_zero_exits_two_and_writes_nothing(self, tmp_path,
-                                                                        capsys):
+    def test_comb_kick_between_t0_and_zero_is_covered_and_exits_zero(self, tmp_path):
+        # the closed forms expand U(t, t0) over every kick after t0, the one at -0.5 too
         config = with_params(COMB_CONFIG, strengths=[1.0, 0.5], times=[-0.5, 1.0], t0=-1.0,
                              t1=1.0, grid_points=5, steps_per_cell=1)
         path = write_config(tmp_path, "cfg.json", config)
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "kick at t=-0.5" in err
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_csv(tmp_path / "out" / "comb_run.csv")
+        assert [float(row["n_trunc"]) for row in rows] == [1.0, 0.5, 0.5, 0.5, -0.125]
+        results = json.loads((tmp_path / "out" / "comb_run.summary.json").read_text())["results"]
+        assert results["indefinite_flags"] == 2
+        assert (results["pitaron_expansion_re"], results["pitaron_expansion_im"]) == (-0.125, -1.5)
 
     def test_library_value_error_exits_two_and_later_configs_run(self, tmp_path, capsys):
         bad = json.loads(json.dumps(PAULI_CONFIG))

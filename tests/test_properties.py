@@ -7,16 +7,20 @@ around it; the arrays are drawn from a seed so that a failing example
 names a reproducible stack.  ``mat_exp`` of a Hermitian generator keeps
 its stated unitarity budget, or raises beyond its accuracy domain, and a
 trajectory of a drawn kicked spec matches the one-factor-at-a-time
-oracle stepper at every snapshot.
+oracle stepper at every snapshot.  A comb run's closed forms are the
+kick-by-kick sums over exactly the kicks after its t0.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pitaron_lab.cli import run_experiment, validate_config
 from pitaron_lab.hamiltonian import HamiltonianSpec
 from pitaron_lab.linalg import _matmul, frob, frob_stack, mat_exp, unitarity_defect
 from pitaron_lab.propagation import evolve_trajectory, pitaron, z_factor
@@ -162,13 +166,13 @@ def _truncated_norm_by_definition(strengths, times, t: float) -> float:
 def _expansion_by_definition(strengths, times, t: float):
     """order1, order2_defined and the flagged kick indices, kick by kick.
 
-    Order two sums -V_k S(t_k^-) over the kicks inside (0, t] in time
+    Order two sums -V_k S(t_k^-) over the kicks at or before t in time
     order, and each of those kicks is flagged.
     """
     order2 = 0.0
     flags = []
     for k, (v, tau) in enumerate(zip(strengths, times)):
-        if 0.0 < tau <= t:
+        if tau <= t:
             before = 0.0 + sum(strengths[:k])  # the earlier kicks, times increase
             order2 -= v * before
             flags.append(k)
@@ -200,7 +204,7 @@ def _bits(*values) -> list[str]:
 @given(seed=st.integers(0, 2**32 - 1), kicks=st.integers(0, 11), extra=st.integers(0, 10))
 def test_comb_expansions_have_the_bits_of_the_definition(seed, kicks, extra):
     rng = np.random.default_rng(seed)
-    # kicks on [-1, 4.9], 0 included, so some lie outside (0, t]
+    # kicks on [-1, 4.9], 0 included, so some lie after t
     times = (np.sort(rng.choice(np.arange(-10, 50), size=kicks, replace=False)) / 10).tolist()
     strengths = rng.uniform(-1.5, 1.5, size=kicks) * 10.0 ** rng.integers(-8, 8, size=kicks)
     strengths[rng.random(kicks) < 0.2] = 0.0
@@ -217,6 +221,33 @@ def test_comb_expansions_have_the_bits_of_the_definition(seed, kicks, extra):
         s = _strength_by_definition(strengths, times, t)
         assert _bits(*comb_pitaron_expansion(strengths, times, t)) == _bits(
             1.0 - 0.5 * s * s, -s)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), kicks=st.integers(0, 8), t0=st.floats(-2.0, 1.0))
+def test_comb_run_covers_exactly_the_kicks_after_t0(seed, kicks, t0):
+    rng = np.random.default_rng(seed)
+    # kicks on [-3, 3.9], so on both sides of t0 and of 0
+    times = (np.sort(rng.choice(np.arange(-30, 40), size=kicks, replace=False)) / 10).tolist()
+    strengths = rng.uniform(-1.5, 1.5, size=kicks).tolist()
+    t1 = t0 + 3.0
+    config = {"kind": "comb", "output_path": "comb",
+              "params": {"strengths": strengths, "times": times, "dim": 1, "t0": t0, "t1": t1,
+                         "grid_points": 7, "steps_per_cell": 1}}
+    with tempfile.TemporaryDirectory() as out:
+        results = run_experiment(validate_config(config), out)["results"]
+        lines = (Path(out) / "comb.csv").read_text().splitlines()
+    after = [k for k, tau in enumerate(times) if t0 < tau]
+    strengths, times = [strengths[k] for k in after], [times[k] for k in after]
+    column = lines[0].split(",").index("n_trunc")
+    for line, t in zip(lines[1:], np.linspace(t0, t1, 7).tolist(), strict=True):
+        s = _strength_by_definition(strengths, times, t)
+        assert line.split(",")[column] == f"{1.0 - 0.5 * s * s:.12e}"
+    s = _strength_by_definition(strengths, times, t1)
+    assert results["final_n_trunc"] == 1.0 - 0.5 * s * s
+    assert results["indefinite_flags"] == sum(tau <= t1 for tau in times)
+    assert (results["pitaron_expansion_re"], results["pitaron_expansion_im"]) == (
+        1.0 - 0.5 * s * s, -s)
 
 
 def test_truncated_norm_of_an_empty_comb_is_one():

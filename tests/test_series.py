@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ EXPANSIONS = {
 def test_non_finite_times_raise(name, spec, t0, t):
     with pytest.raises(ValueError, match=f"finite times, got t0={t0}, t={t}"):
         EXPANSIONS[name](spec, t0, t)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda spec: dyson_u(spec, -1e308, 1e308, 2, 4), ValueError,
+     "t0=-1e\\+308, t=1e\\+308"),
+    (lambda spec: dyson_u(spec, 0.0, 1e160, 2, 4), FloatingPointError, "overflow"),
+    (lambda spec: general_pitaron_expansion(spec, 0.0, 1e160, 4), FloatingPointError,
+     "overflow"),
+], ids=["span", "dyson_u", "general_pitaron_expansion"])
+def test_overflowing_expansions_raise_without_a_warning(call, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call(constant_spec(SIGMA1))
 
 
 class TestDysonUInverse:

@@ -121,7 +121,7 @@ class TestCombExpansionTerms:
         assert report.order2_defined == pytest.approx(-(s * s - squares) / 2)
 
     def test_matches_the_pairwise_definition_bit_for_bit(self):
-        # a seeded comb of 300 kicks on (-1, 3), so some lie outside (0, t]
+        # a seeded comb of 300 kicks on (-1, 3), so some lie after t
         rng = np.random.default_rng(13)
         times = np.sort(rng.uniform(-1.0, 3.0, 300)).tolist()
         strengths = rng.standard_normal(300).tolist()
@@ -129,7 +129,7 @@ class TestCombExpansionTerms:
             order2 = 0.0
             flags = []
             for i, (v, tau) in enumerate(zip(strengths, times)):
-                if 0.0 < tau <= t:
+                if tau <= t:
                     before = 0.0  # every earlier kick, summed left to right
                     for vj, tj in zip(strengths, times):
                         if tj < tau:
@@ -140,6 +140,25 @@ class TestCombExpansionTerms:
             assert report.order2_defined.real.hex() == order2.hex()
             assert report.order2_defined.imag.hex() == (0.0).hex()
             assert list(report.indefinite) == flags
+
+    def test_kicks_before_zero_take_cross_terms_and_flags(self):
+        report = comb_expansion_terms([1.0, 1.0, 0.5], [-2.0, -1.0, 1.0], 2.0)
+        assert report.order2_defined == -2.0
+        assert report.indefinite == range(3)
+
+    def test_defined_terms_and_half_the_flagged_squares_make_minus_half_s_squared(self):
+        # order2_defined - (1/2) sum of the flagged V_k^2 = -S^2/2, kicks on both sides of 0
+        rng = np.random.default_rng(29)
+        times = np.sort(rng.uniform(-3.0, 3.0, 40)).tolist()
+        strengths = rng.standard_normal(40).tolist()
+        cases = [([1.0, 1.0, 0.5], [-2.0, -1.0, 1.0], 2.0)]
+        cases += [(strengths, times, t) for t in (-3.5, -1.0, 0.0, 1.5, 4.0)]
+        for strengths, times, t in cases:
+            report = comb_expansion_terms(strengths, times, t)
+            flagged = sum(strengths[k] ** 2 for k in report.indefinite)
+            s = -report.order1.imag  # order one is -i S
+            assert report.order2_defined.real - 0.5 * flagged == pytest.approx(
+                -0.5 * s * s, rel=1e-13, abs=1e-13)
 
 
 class TestCombPitaronExpansion:
