@@ -354,15 +354,15 @@ def _run_dyson(cfg: ExperimentConfig):
     # constant H: the exact propagators, in one stacked call
     exacts = mat_exp(np.array([-1j * T * ham.SIGMA1 for T in T_list]))
     for T, exact in zip(T_list, exacts):
-        dyson = series.dyson_u(spec, 0.0, T, max(2, *orders), panels)
-        pit = series._pitaron_series(dyson.terms[:3])
+        dyson = series.dyson_u(spec, 0.0, T, max(orders), panels)
+        pit = series.general_pitaron_expansion(dyson)
         for order in orders:
             partial_sum = dyson.partial_sums[order]
             columns["T"].append(T)
             columns["order"].append(order)
             columns["err_partial"].append(frob(partial_sum - exact))
             columns["defect_partial"].append(unitarity_defect(partial_sum))
-            columns["err_pitaron_expansion"].append(frob(pit.partial_sums[min(order, 2)] - exact))
+            columns["err_pitaron_expansion"].append(frob(pit.partial_sums[order] - exact))
     scalars = {}
     for i, order in enumerate(orders):  # the orders are distinct: each T repeats them in turn
         slope = series.log_log_slope(T_list, columns["err_partial"][i::len(orders)])
@@ -500,7 +500,7 @@ def _counterexample_limit(v: dict, where: str) -> None:
 
 
 def _dyson_limit(v: dict, where: str) -> None:
-    depth = max(2, *v["orders"])  # the one pass per T also yields P's order-2 terms
+    depth = max(v["orders"])  # the one pass per T also yields P through that order
     nodes = len(v["T_list"]) * (2 * v["panels"] + 1) ** depth
     if nodes > DYSON_MAX_NODES:
         _fail(f"{where}: dyson makes {len(v['T_list'])} nested quadratures of "

@@ -37,6 +37,10 @@ COND_THRESHOLD = 1e12
 # ||A||_1 <= 0.5.
 _EXP_THETA = np.array([(2.0**-53 * math.factorial(m + 1)) ** (1.0 / (m + 1))
                        for m in range(1, 15)])
+# The one overflow rule: a value beyond the float range raises FloatingPointError,
+# not a warning.  Apply it as a decorator: numpy cannot enter one errstate
+# instance twice as a ``with`` block, but each decorated call gets its own.
+OVERFLOW_RAISES = np.errstate(over="raise", invalid="raise")
 # The accuracy domain of mat_exp: at most this many squarings, ||A||_1 <= 2^20.
 # Each squaring doubles the rounding error.  Over a seeded sweep of 5130
 # Hermitian generators H (dims 1-64, 190 per squaring count s = 0..26), the
@@ -125,6 +129,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
+@OVERFLOW_RAISES
 def simpson_grid(a: float, b, panels: int):
     """Composite Simpson grid on [a, b] as ``(nodes, h)``.
 
@@ -133,6 +138,7 @@ def simpson_grid(a: float, b, panels: int):
     ``h = (b - a) / (2 panels)`` is shaped like ``b``.  The weights are
     ``simpson_pattern(panels) * h / 3``; each caller that needs them
     scales the pattern itself, in the order that fixes the bits of its sums.
+    Limits whose span overflows raise ``FloatingPointError``.
     """
     if panels < 1:
         raise ValueError(f"panels must be at least 1, got {panels}")

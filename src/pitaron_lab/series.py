@@ -10,19 +10,22 @@ productive (Fubini-swapped) form even where the two agree analytically.
 The nested rule is evaluated as a tree of those re-gridded nodes, one
 level at a time: each level's nodes are sampled in one
 ``HamiltonianSpec.sample_stack`` call and contracted on stacks, with the
-nodes, weights and summation order of the scalar recursion.  One nested
-pass to the highest order needed yields every lower order too, so each
-expansion samples H through a single quadrature.
+nodes, weights and summation order of the scalar recursion.
 
-U^-1, N and P follow from the Dyson terms of U by their definitions,
-U^-1 U = 1, N^2 = (U U^dagger)^-1 and P = N U, solved order by order as
-``pitaron`` applies them numerically.  Every adjoint stays separate, so
-they hold for non-Hermitian, non-normal H and reduce to the textbook
-forms for Hermitian H.  By linearity of the quadrature, their commutator
-and anticommutator integrals equal the same nested rule run directly on
-those integrands.
+The series run by one route: ``dyson_u`` makes the one nested pass of a
+spec, to the highest order wanted, and ``dyson_u_inverse``,
+``general_norm_expansion`` and ``general_pitaron_expansion`` are
+functions of its result, each through the order of the pass.  U^-1, N
+and P follow from the Dyson terms of U by their definitions, U^-1 U = 1,
+N^2 = (U U^dagger)^-1 and P = N U, solved order by order as ``pitaron``
+applies them numerically.  Term k of each depends only on the terms
+0..k of U, so it has the same bits whatever the order of the pass.
+Every adjoint stays separate, so they hold for non-Hermitian, non-normal
+H and reduce to the textbook forms for Hermitian H.  By linearity of the
+quadrature, their commutator and anticommutator integrals equal the same
+nested rule run directly on those integrands.
 
-Kicked specs are rejected throughout: with delta kicks the integrands
+``dyson_u`` rejects kicked specs: with delta kicks the integrands
 contain products of distributions whose value is indefinite, and the
 quadrature must not silently pick one.  The singular_dynamics module
 handles those expansions in closed form.
@@ -38,11 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec
-from .linalg import frob, simpson_grid, simpson_pattern
+from .linalg import OVERFLOW_RAISES, frob, simpson_grid, simpson_pattern
 
 MAX_ORDER = 4  # nested quadrature cost grows as panels**order
 _TREE_BYTES = 1 << 22  # samples of the Dyson node tree held at once
-_OVERFLOW_RAISES = np.errstate(over="raise", invalid="raise")  # for the tree and the algebra
 
 __all__ = [
     "MAX_ORDER",
@@ -75,14 +77,6 @@ def _assemble(terms: list[np.ndarray]) -> SeriesExpansion:
         terms=tuple(terms),
         partial_sums=tuple(sums),
     )
-
-
-def _reject_kicks(spec: HamiltonianSpec, what: str) -> None:
-    if len(spec.kick_times):
-        raise ValueError(
-            f"{what} requires a smooth spec: delta kicks make the iterated "
-            "integrands indefinite (handled symbolically in singular_dynamics)"
-        )
 
 
 def _check_order(order: int) -> None:
@@ -156,7 +150,7 @@ def _iterated(spec: HamiltonianSpec, t0: float, upper: float, depth: int,
     return lower + [top[0]]
 
 
-@_OVERFLOW_RAISES
+@OVERFLOW_RAISES
 def dyson_u(spec: HamiltonianSpec, t0: float, t: float, order: int,
             panels: int) -> SeriesExpansion:
     """Iterated-integral expansion of U(t, t0) through ``order``.
@@ -166,7 +160,9 @@ def dyson_u(spec: HamiltonianSpec, t0: float, t: float, order: int,
     hence the order cap.  The terms of a lower order are exactly the
     leading terms of a higher one.
     """
-    _reject_kicks(spec, "dyson_u")
+    if len(spec.kick_times):
+        raise ValueError("dyson_u requires a smooth spec: delta kicks make the iterated "
+                         "integrands indefinite (handled symbolically in singular_dynamics)")
     _check_order(order)
     levels = [np.eye(spec.dim, dtype=np.complex128)]
     levels += _iterated(spec, t0, t, order, panels)
@@ -201,26 +197,23 @@ def _normalization(u) -> list[np.ndarray]:
     return n
 
 
-@_OVERFLOW_RAISES
-def dyson_u_inverse(spec: HamiltonianSpec, t0: float, t: float, order: int,
-                    panels: int) -> SeriesExpansion:
-    """Expansion of U(t, t0)^-1, fixed by demanding U^-1 U = 1 order by order.
+@OVERFLOW_RAISES
+def dyson_u_inverse(u: SeriesExpansion) -> SeriesExpansion:
+    """Expansion of U^-1 from the expansion ``u`` of U, through ``u.order``.
 
-    At second order this is 1 + i int H - (int H)^2 + int int H H.
+    Fixed by demanding U^-1 U = 1 order by order; with U = 1 - i A - B + ...,
+    A = int H and B = int int H H, it starts 1 + i A - A^2 + B.
     """
-    _reject_kicks(spec, "dyson_u_inverse")
-    return _assemble(_inverse(dyson_u(spec, t0, t, order, panels).terms))
+    return _assemble(_inverse(u.terms))
 
 
-@_OVERFLOW_RAISES
-def general_norm_expansion(spec: HamiltonianSpec, t0: float, t: float,
-                           panels: int = 64) -> SeriesExpansion:
-    """Second-order normalization expansion without Hermiticity assumptions.
+@OVERFLOW_RAISES
+def general_norm_expansion(u: SeriesExpansion) -> SeriesExpansion:
+    """Expansion of N = (U U^dagger)^(-1/2) from the expansion ``u`` of U.
 
-    N = (U U^dagger)^(-1/2) solved order by order on the order-2 Dyson
-    terms of U, the definition ``pitaron`` applies numerically.  With
-    A = int H and B = int int H H (iterated, from one nested pass), so that
-    U = 1 - i A - B + ..., every adjoint is kept separate:
+    N^2 = (U U^dagger)^-1 solved order by order through ``u.order``, the
+    definition ``pitaron`` applies numerically, with every adjoint kept
+    separate.  With A and B as in ``dyson_u_inverse`` it starts
 
         N = 1 + (i/2) A - (i/2) A^dagger
               - (3/8) A^2 - (3/8) A^dagger^2 + (3/8) A^dagger A - (1/8) A A^dagger
@@ -233,36 +226,28 @@ def general_norm_expansion(spec: HamiltonianSpec, t0: float, t: float,
     order is legitimate, which is what makes N trivial for bounded
     Hermitian evolution.
     """
-    _reject_kicks(spec, "general_norm_expansion")
-    return _assemble(_normalization(dyson_u(spec, t0, t, 2, panels).terms))
+    return _assemble(_normalization(u.terms))
 
 
-def general_pitaron_expansion(spec: HamiltonianSpec, t0: float, t: float,
-                              panels: int = 64) -> SeriesExpansion:
-    """Second-order unitarized expansion without Hermiticity assumptions.
+@OVERFLOW_RAISES
+def general_pitaron_expansion(u: SeriesExpansion) -> SeriesExpansion:
+    """Expansion of P = N U from the expansion ``u`` of U, through ``u.order``.
 
-    P = N U, the product of the expansion of ``general_norm_expansion``
-    and the order-2 Dyson terms of U, from the same nested pass:
+    The Cauchy product of ``general_norm_expansion(u)`` and ``u``.  With A
+    and B as in ``dyson_u_inverse`` it starts
 
         P = 1 - (i/2) A - (i/2) A^dagger
               + (1/8) A^2 - (3/8) A^dagger^2 - (1/8) A^dagger A - (1/8) A A^dagger
               - (1/2) B + (1/2) B^dagger + ...
 
-    with A and B as in ``general_norm_expansion``.  For Hermitian H this is
+    For Hermitian H this is
     P = 1 - i A - (1/2) A^2 - (1/2)(B - B^dagger) + ..., with B - B^dagger
     the iterated integral of [H(t'), H(t'')]; unlike the raw expansion of
     U, that partial sum is unitary through its own order without invoking
     any integral-swap identity.  For anti-Hermitian scalar generators it
     is the identity, their exact unitarization being trivial.
     """
-    _reject_kicks(spec, "general_pitaron_expansion")
-    return _pitaron_series(dyson_u(spec, t0, t, 2, panels).terms)
-
-
-@_OVERFLOW_RAISES
-def _pitaron_series(u) -> SeriesExpansion:
-    """P = N U from the terms of U, through the order of ``u``."""
-    return _assemble(_product(_normalization(u), u))
+    return _assemble(_product(_normalization(u.terms), u.terms))
 
 
 def log_log_slope(lengths, errors) -> float | None:

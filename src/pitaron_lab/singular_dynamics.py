@@ -5,10 +5,11 @@ closed forms in the cumulative strength S(t), one running sum of the
 kick strengths.  Their kicks are checked by ``hamiltonian._comb_kicks``,
 which checks the times as a spec's kick times are checked.  Terms of the
 form int delta(x - a) Theta(x - a) dx have no canonical value; they are
-flagged as indefinite and never evaluated.  Smearing the deltas instead
-of treating them exactly is demonstrated to be limit-path dependent, and
-the classic dominated-convergence counterexamples show why exchanging
-limits with integrals is not free.
+flagged as indefinite and never evaluated.  A closed form whose value
+leaves the float range raises ``FloatingPointError``.  Smearing the
+deltas instead of treating them exactly is demonstrated to be limit-path
+dependent, and the classic dominated-convergence counterexamples show
+why exchanging limits with integrals is not free.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import _comb_kicks
-from .linalg import simpson_grid, simpson_pattern
+from .linalg import OVERFLOW_RAISES, simpson_grid, simpson_pattern
 
 __all__ = [
     "SmearedDelta",
@@ -92,11 +93,13 @@ class SmearedDelta:
         half = 2.0e7 * self.epsilon
         return (self.center - half, self.center + half)
 
+    @OVERFLOW_RAISES
     def numeric_mass(self, panels: int = 256) -> float:
         """Quadrature of the density over the window; should be 1 within 1e-6.
 
         The Lorentzian window is far wider than the core, so it is covered
-        by dyadic shells, each resolved on its own scale.
+        by dyadic shells, each resolved on its own scale.  A width whose
+        window or density leaves the float range raises ``FloatingPointError``.
         """
         if self.kind in ("gaussian", "causal"):
             lo, hi = self.window()
@@ -157,6 +160,7 @@ def _through(times, t):
     return np.searchsorted(times, t, side="right")
 
 
+@OVERFLOW_RAISES
 def comb_truncated_norm(strengths, times, t):
     """Defined part of the comb normalization: 1 - S(t)^2 / 2.
 
@@ -187,6 +191,7 @@ class CombExpansionReport:
     indefinite: range
 
 
+@OVERFLOW_RAISES
 def comb_expansion_terms(strengths, times, t: float) -> CombExpansionReport:
     """Expansion of U(t, t0) for a kick comb, t0 before its first kick.
 
@@ -209,6 +214,7 @@ def comb_expansion_terms(strengths, times, t: float) -> CombExpansionReport:
     )
 
 
+@OVERFLOW_RAISES
 def comb_pitaron_expansion(strengths, times, t: float) -> tuple[float, float]:
     """Order-2 unitarized comb expansion of U(t, t0): 1 - i S - S^2/2.
 
@@ -217,8 +223,8 @@ def comb_pitaron_expansion(strengths, times, t: float) -> tuple[float, float]:
     second-order Taylor polynomial of exp(-i S).  Returned as (re, im).
     """
     _, times, running = _running_strength(strengths, times)
-    s = float(running[_through(times, t)])
-    return (1.0 - 0.5 * s * s, -s)
+    s = running[_through(times, t)]  # a numpy float, so an overflowing s * s raises
+    return (float(1.0 - 0.5 * s * s), float(-s))
 
 
 def smeared_second_order(eps1: float, eps2: float, kind: str, t1: float,

@@ -222,6 +222,20 @@ class TestRunExperiment:
             assert results[f"slope_order_{order}"] == convergence_order(spec, 0.0, exact, order,
                                                                         T_list, panels=16)
 
+    def test_dyson_pitaron_error_is_the_partial_error_at_every_order(self, tmp_path):
+        # H = sigma1 is Hermitian, so the N series is 1 and P's partial sums are U's
+        cfg = validate_config({
+            "kind": "dyson",
+            "output_path": "dyson_run",
+            "params": {"T_list": [0.07, 0.2, 0.38], "orders": [0, 1, 2, 3, 4], "panels": 4},
+        })
+        run_experiment(cfg, tmp_path)
+        _, rows = read_csv(tmp_path / "dyson_run.csv")
+        assert [int(row["order"]) for row in rows] == [0, 1, 2, 3, 4] * 3
+        for row in rows:
+            assert float(row["err_pitaron_expansion"]) == pytest.approx(
+                float(row["err_partial"]), rel=1e-9)
+
     def test_picard_exponential(self, tmp_path):
         for g in (1.0, -2.0, 5.0):
             cfg = validate_config({
@@ -526,16 +540,25 @@ class TestMainEntryPoint:
         assert (tmp_path / "pauli_run.summary.json").exists()
         assert not list(tmp_path.glob("backwards*"))
 
-    @pytest.mark.parametrize("orders, panels", [([4], 28), ([0, 1], 1581), ([3], 10**300)])
+    @pytest.mark.parametrize("orders, panels", [([4], 28), ([0, 1], 10**7), ([3], 10**300)])
     def test_dyson_beyond_node_cap_exits_two_and_writes_nothing(self, tmp_path, capsys,
                                                                 orders, panels):
-        # (2 panels + 1)^depth nodes, depth at least 2 for the Pitaron expansion
+        # (2 panels + 1)^depth nodes per length, the depth the largest order
         config = json.loads(json.dumps(DYSON_CONFIG))
         config["params"].update(orders=orders, panels=panels)
         path = write_config(tmp_path, "dyson_cap.json", config)
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "above the cap of 10000000" in capsys.readouterr().err
         assert not list(tmp_path.glob("dyson_run*"))
+
+    def test_dyson_depth_is_the_largest_order(self, tmp_path):
+        # 2 lengths of 3163 nodes at depth 1; a depth of at least 2 would have counted 3163^2
+        config = json.loads(json.dumps(DYSON_CONFIG))
+        config["params"].update(orders=[0, 1], panels=1581)
+        path = write_config(tmp_path, "dyson_cap.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "dyson_run.csv")
+        assert [row["order"] for row in rows] == ["0", "1", "0", "1"]
 
     def test_dyson_node_cap_counts_every_length(self, tmp_path, capsys):
         # 37^4 nodes per length is under the cap, 11 lengths of them are not

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -73,6 +75,12 @@ class TestSimpsonGrid:
     def test_rejects_fewer_than_one_panel(self):
         with pytest.raises(ValueError, match="panels"):
             simpson_grid(0.0, 1.0, 0)
+
+    def test_overflowing_span_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                simpson_grid(-1e308, 1e308, 4)
 
 
 class TestMatExp:

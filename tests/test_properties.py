@@ -8,7 +8,9 @@ names a reproducible stack.  ``mat_exp`` of a Hermitian generator keeps
 its stated unitarity budget, or raises beyond its accuracy domain, and a
 trajectory of a drawn kicked spec matches the one-factor-at-a-time
 oracle stepper at every snapshot.  A comb run's closed forms are the
-kick-by-kick sums over exactly the kicks after its t0.
+kick-by-kick sums over exactly the kicks after its t0.  The U^-1, N and P
+series of a drawn Dyson pass meet their definitions term by term, to
+rounding scaled by the term norms.
 """
 
 import math
@@ -21,9 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pitaron_lab.cli import run_experiment, validate_config
-from pitaron_lab.hamiltonian import HamiltonianSpec
+from pitaron_lab.hamiltonian import HamiltonianSpec, pauli_hamiltonian
 from pitaron_lab.linalg import _matmul, frob, frob_stack, mat_exp, unitarity_defect
 from pitaron_lab.propagation import evolve_trajectory, pitaron, z_factor
+from pitaron_lab.series import (
+    dyson_u,
+    dyson_u_inverse,
+    general_norm_expansion,
+    general_pitaron_expansion,
+)
 from pitaron_lab.singular_dynamics import (
     comb_expansion_terms,
     comb_pitaron_expansion,
@@ -254,3 +262,52 @@ def test_truncated_norm_of_an_empty_comb_is_one():
     assert type(comb_truncated_norm([], [], 3.0)) is float
     assert comb_truncated_norm([], [], 3.0) == 1.0
     assert comb_truncated_norm([], [], np.array([-1.0, 0.0, 2.0])).tolist() == [1.0, 1.0, 1.0]
+
+
+def _cauchy(x, y, k):
+    """Term k of the product of the series x and y, of matrices or of norms."""
+    return sum(np.dot(x[j], y[k - j]) for j in range(k + 1))
+
+
+def _majorants(u):
+    """Norm bounds on the terms of U, U^-1, N and P from the term norms of U.
+
+    The recursions of ``series`` run on the norms with every sign taken
+    positive, so term k of each bounds the sizes that the rounding of the
+    corresponding term, and of products of these series, scales with.
+    """
+    a = [frob(term) for term in u]
+    v = [1.0]
+    for n in range(1, len(a)):
+        v.append(sum(a[j] * v[n - j] for j in range(1, n + 1)))
+    m = [sum(v[j] * v[k - j] for j in range(k + 1)) for k in range(len(a))]
+    n = [1.0]
+    for k in range(1, len(a)):
+        n.append(0.5 * (m[k] + sum(n[j] * n[k - j] for j in range(1, k))))
+    p = [sum(n[j] * a[k - j] for j in range(k + 1)) for k in range(len(a))]
+    return a, v, n, p
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3), order=st.integers(0, 4),
+       pauli=st.booleans(), log_scale=st.floats(-3.0, 1.0), T=st.floats(0.01, 2.0))
+def test_series_of_one_pass_meet_their_definitions(seed, dim, order, pauli, log_scale, T):
+    # V U = 1, P^dagger P = 1 and N = N^dagger at every order k >= 1, where a
+    # wrong term would leave an error of the size of the terms themselves
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(6) * 10.0**log_scale
+    if pauli:  # Hermitian and time-dependent: N is 1 by cancellation
+        spec = pauli_hamiltonian(lambda t: c[0] * np.cos(c[3] * t),
+                                 lambda t: c[1] * np.sin(c[4] * t), lambda t: c[2] + c[5] * t)
+    else:  # constant, non-Hermitian and non-normal
+        spec = HamiltonianSpec.constant(random_ginibre(rng, dim) * 10.0**log_scale)
+    u = dyson_u(spec, 0.0, T, order, 2)
+    v, n, p = (f(u).terms for f in (dyson_u_inverse, general_norm_expansion,
+                                    general_pitaron_expansion))
+    assert len(v) == len(n) == len(p) == order + 1
+    a, v_norm, n_norm, p_norm = _majorants(u.terms)
+    p_dagger = [term.conj().T for term in p]
+    for k in range(1, order + 1):
+        assert frob(_cauchy(v, u.terms, k)) <= 16 * EPS * _cauchy(v_norm, a, k)
+        assert frob(_cauchy(p_dagger, p, k)) <= 16 * EPS * _cauchy(p_norm, p_norm, k)
+        assert frob(n[k] - n[k].conj().T) <= 16 * EPS * n_norm[k]

@@ -89,11 +89,12 @@ class TestDysonU:
             return np.cos(t) * SIGMA1 + 0.3j * SIGMA3
 
         spec = HamiltonianSpec(dim=2, smooth=smooth)
-        dyson_u(spec, 0.0, 1.0, 3, 4)
+        u = dyson_u(spec, 0.0, 1.0, 3, 4)
         assert len(calls) == 657  # 9 + 8 * (9 + 8 * 9): the depth-3 pass only
         calls.clear()
-        general_pitaron_expansion(spec, 0.0, 1.0, 4)
-        assert len(calls) == 81  # one depth-2 pass gives A and B
+        for expansion in (dyson_u_inverse, general_norm_expansion, general_pitaron_expansion):
+            assert expansion(u).order == 3
+        assert calls == []  # the U^-1, N and P series are algebra on the one pass
 
     @pytest.mark.parametrize("panels", [2, 4])
     def test_lower_orders_are_leading_terms_of_higher(self, panels):
@@ -104,6 +105,10 @@ class TestDysonU:
             low = dyson_u(spec, 0.1, 1.3, k, panels)
             assert all(np.array_equal(x, y) for x, y in zip(low.terms, top.terms[: k + 1]))
             assert len(low.terms) == k + 1
+            # so do the U^-1, N and P series of the pass: term k needs U's terms 0..k only
+            for expansion in (dyson_u_inverse, general_norm_expansion, general_pitaron_expansion):
+                low_terms, top_terms = expansion(low).terms, expansion(top).terms[: k + 1]
+                assert all(np.array_equal(x, y) for x, y in zip(low_terms, top_terms, strict=True))
 
     def test_truncation_error_scaling(self):
         spec = constant_spec(SIGMA1)
@@ -179,9 +184,12 @@ class TestNodeTree:
 
 EXPANSIONS = {
     "dyson_u": lambda spec, t0, t: dyson_u(spec, t0, t, 2, 4),
-    "dyson_u_inverse": lambda spec, t0, t: dyson_u_inverse(spec, t0, t, 2, 4),
-    "general_norm_expansion": lambda spec, t0, t: general_norm_expansion(spec, t0, t, 4),
-    "general_pitaron_expansion": lambda spec, t0, t: general_pitaron_expansion(spec, t0, t, 4),
+    # the other series take the result of that pass, so the route raises in dyson_u
+    "dyson_u_inverse": lambda spec, t0, t: dyson_u_inverse(dyson_u(spec, t0, t, 2, 4)),
+    "general_norm_expansion":
+        lambda spec, t0, t: general_norm_expansion(dyson_u(spec, t0, t, 2, 4)),
+    "general_pitaron_expansion":
+        lambda spec, t0, t: general_pitaron_expansion(dyson_u(spec, t0, t, 2, 4)),
 }
 
 
@@ -195,13 +203,20 @@ def test_non_finite_times_raise(name, spec, t0, t):
         EXPANSIONS[name](spec, t0, t)
 
 
+def _huge_u():
+    """A U series with finite terms whose products overflow: v_2 = u_1^2 = -1e400."""
+    return series._assemble([np.eye(2, dtype=complex), 1e200j * SIGMA1, np.zeros((2, 2), complex)])
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda spec: dyson_u(spec, -1e308, 1e308, 2, 4), ValueError,
      "t0=-1e\\+308, t=1e\\+308"),
     (lambda spec: dyson_u(spec, 0.0, 1e160, 2, 4), FloatingPointError, "overflow"),
-    (lambda spec: general_pitaron_expansion(spec, 0.0, 1e160, 4), FloatingPointError,
-     "overflow"),
-], ids=["span", "dyson_u", "general_pitaron_expansion"])
+    (lambda spec: dyson_u_inverse(_huge_u()), FloatingPointError, "overflow"),
+    (lambda spec: general_norm_expansion(_huge_u()), FloatingPointError, "overflow"),
+    (lambda spec: general_pitaron_expansion(_huge_u()), FloatingPointError, "overflow"),
+], ids=["span", "dyson_u", "dyson_u_inverse", "general_norm_expansion",
+        "general_pitaron_expansion"])
 def test_overflowing_expansions_raise_without_a_warning(call, error, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -209,22 +224,24 @@ def test_overflowing_expansions_raise_without_a_warning(call, error, match):
             call(constant_spec(SIGMA1))
 
 
+
 class TestDysonUInverse:
     def test_constant_scalar_terms(self):
         c, T = 0.6, 1.1
-        inv = dyson_u_inverse(scalar_spec(c), 0.0, T, 2, 32)
+        inv = dyson_u_inverse(dyson_u(scalar_spec(c), 0.0, T, 2, 32))
         assert_allclose(inv.terms[1], [[1j * c * T]], atol=1e-12)
         assert_allclose(inv.terms[2], [[-c * c * T * T / 2]], atol=1e-12)
 
     def test_zero_hamiltonian(self):
-        inv = dyson_u_inverse(HamiltonianSpec(dim=3, smooth=None), 0.0, 2.0, 2, 8)
+        inv = dyson_u_inverse(dyson_u(HamiltonianSpec(dim=3, smooth=None), 0.0, 2.0, 2, 8))
         assert_allclose(inv.partial_sums[-1], np.eye(3), atol=1e-15)
 
     def test_scalar_product_residual_is_quartic(self):
         # (1 - icT - x)(1 + icT - x) with x = c^2T^2/2 leaves exactly x^2
         c, T = 0.5, 0.8
-        u = dyson_u(scalar_spec(c), 0.0, T, 2, 32).partial_sums[2][0, 0]
-        v = dyson_u_inverse(scalar_spec(c), 0.0, T, 2, 32).partial_sums[2][0, 0]
+        dyson = dyson_u(scalar_spec(c), 0.0, T, 2, 32)
+        u = dyson.partial_sums[2][0, 0]
+        v = dyson_u_inverse(dyson).partial_sums[2][0, 0]
         expected_residual = (c * c * T * T / 2) ** 2
         assert abs(v * u - 1.0 - expected_residual) < 1e-12
 
@@ -233,32 +250,32 @@ class TestDysonUInverse:
         for order, power in ((1, 2), (2, 4)):
             devs = []
             for T in (0.4, 0.2):
-                u = dyson_u(spec, 0.0, T, order, 16).partial_sums[-1]
-                v = dyson_u_inverse(spec, 0.0, T, order, 16).partial_sums[-1]
-                devs.append(frob(v @ u - np.eye(2)))
+                dyson = dyson_u(spec, 0.0, T, order, 16)
+                v = dyson_u_inverse(dyson).partial_sums[-1]
+                devs.append(frob(v @ dyson.partial_sums[-1] - np.eye(2)))
             # deviation is O(T^(order+1)) or better; Pauli structure kills odd orders
             assert devs[0] / devs[1] > 2.0 ** (order + 1) - 0.8
 
 
 class TestHermitianExpansions:
     def test_norm_second_order_cancels_for_constants(self):
-        exp = general_norm_expansion(constant_spec(SIGMA1), 0.0, 1.2, 64)
+        exp = general_norm_expansion(dyson_u(constant_spec(SIGMA1), 0.0, 1.2, 2, 64))
         assert frob(exp.terms[1]) == 0.0
         assert frob(exp.terms[2]) < 1e-12
 
     def test_norm_identity_for_zero(self):
-        exp = general_norm_expansion(HamiltonianSpec(dim=2, smooth=None), 0.0, 1.0, 8)
+        exp = general_norm_expansion(dyson_u(HamiltonianSpec(dim=2, smooth=None), 0, 1, 2, 8))
         assert_allclose(exp.partial_sums[-1], np.eye(2), atol=1e-15)
 
     def test_norm_cancels_for_commuting_ramp(self):
         spec = HamiltonianSpec(dim=2, smooth=lambda t: t * SIGMA3)
-        exp = general_norm_expansion(spec, 0.0, 1.0, 64)
+        exp = general_norm_expansion(dyson_u(spec, 0.0, 1.0, 2, 64))
         assert frob(exp.terms[2]) < 1e-12
 
     def test_pitaron_matches_exponential_for_commuting_family(self):
         spec = HamiltonianSpec(dim=2, smooth=lambda t: np.sin(t) * SIGMA3)
         T = 0.4
-        exp = general_pitaron_expansion(spec, 0.0, T, 64)
+        exp = general_pitaron_expansion(dyson_u(spec, 0.0, T, 2, 64))
         a = (1.0 - np.cos(T)) * SIGMA3
         assert frob(exp.terms[2] + 0.5 * (a @ a)) < 1e-10  # commutator part vanishes
         assert frob(exp.partial_sums[-1] - mat_exp(-1j * a)) < frob(a) ** 3 / 6 + 1e-10
@@ -267,7 +284,7 @@ class TestHermitianExpansions:
         # sigma1 then sigma3: the commutator integral is [s3, s1] T1 (T - T1)
         T1, T = 0.5, 1.0
         spec = piecewise_spec(SIGMA1, SIGMA3, T1)
-        exp = general_pitaron_expansion(spec, 0.0, T, 64)
+        exp = general_pitaron_expansion(dyson_u(spec, 0.0, T, 2, 64))
         a = T1 * SIGMA1 + (T - T1) * SIGMA3
         comm_term = exp.terms[2] + 0.5 * (a @ a)  # isolate -(1/2) int int [H, H']
         exact = -0.5 * (SIGMA3 @ SIGMA1 - SIGMA1 @ SIGMA3) * T1 * (T - T1)
@@ -277,22 +294,22 @@ class TestHermitianExpansions:
         assert frob(comm_term) > 0.3  # genuinely nonzero
 
     def test_pitaron_zero_hamiltonian(self):
-        exp = general_pitaron_expansion(HamiltonianSpec(dim=2, smooth=None), 0.0, 1.0, 8)
+        exp = general_pitaron_expansion(dyson_u(HamiltonianSpec(dim=2, smooth=None), 0, 1, 2, 8))
         assert_allclose(exp.partial_sums[-1], np.eye(2), atol=1e-15)
 
 
-def _a_b(spec, T, panels):
+def _a_b(u):
     """A = int H and B = int int H H from the Dyson terms -iA and -B."""
-    terms = dyson_u(spec, 0.0, T, 2, panels).terms
-    return 1j * terms[1], -terms[2]
+    return 1j * u.terms[1], -u.terms[2]
 
 
 class TestGeneralExpansions:
     def test_hermitian_reduction_norm(self):
         # Hermitian H: N = 1 + 0 - (1/2) A^2 + (1/2)(B + B^dagger)
         spec = pauli_hamiltonian(np.cos, np.sin, 0.5)
-        a, b = _a_b(spec, 1.0, 64)
-        general = general_norm_expansion(spec, 0.0, 1.0, 64)
+        u = dyson_u(spec, 0.0, 1.0, 2, 64)
+        a, b = _a_b(u)
+        general = general_norm_expansion(u)
         assert frob(general.terms[1]) == 0.0
         assert_allclose(general.terms[2], -0.5 * (a @ a) + 0.5 * (b + b.conj().T),
                         rtol=0, atol=1e-14)
@@ -300,8 +317,9 @@ class TestGeneralExpansions:
     def test_hermitian_reduction_pitaron(self):
         # Hermitian H: P = 1 - iA - (1/2) A^2 - (1/2)(B - B^dagger)
         spec = pauli_hamiltonian(np.cos, np.sin, 0.5)
-        a, b = _a_b(spec, 1.0, 64)
-        general = general_pitaron_expansion(spec, 0.0, 1.0, 64)
+        u = dyson_u(spec, 0.0, 1.0, 2, 64)
+        a, b = _a_b(u)
+        general = general_pitaron_expansion(u)
         assert_allclose(general.terms[1], -1j * a, rtol=0, atol=1e-15)
         assert_allclose(general.terms[2], -0.5 * (a @ a) - 0.5 * (b - b.conj().T),
                         rtol=0, atol=1e-14)
@@ -310,27 +328,28 @@ class TestGeneralExpansions:
     def test_anti_hermitian_scalar_norm_matches_exponential_taylor(self):
         j, T = 0.3, 1.0
         spec = HamiltonianSpec(dim=1, smooth=lambda t: np.array([[-1j * j]]))
-        value = general_norm_expansion(spec, 0.0, T, 64).partial_sums[-1][0, 0]
+        value = general_norm_expansion(dyson_u(spec, 0.0, T, 2, 64)).partial_sums[-1][0, 0]
         taylor = 1.0 + j * T + (j * T) ** 2 / 2.0
         assert abs(value - taylor) < 1e-12
 
     def test_anti_hermitian_scalar_pitaron_is_identity(self):
         spec = HamiltonianSpec(dim=1, smooth=lambda t: np.array([[-0.4j]]))
-        value = general_pitaron_expansion(spec, 0.0, 1.0, 64).partial_sums[-1][0, 0]
+        value = general_pitaron_expansion(dyson_u(spec, 0, 1, 2, 64)).partial_sums[-1][0, 0]
         assert abs(value - 1.0) < 1e-13  # exact unitarization of a positive scalar
 
     def test_zero_hamiltonian(self):
-        spec = HamiltonianSpec(dim=2, smooth=None)
-        assert_allclose(general_norm_expansion(spec, 0.0, 1.0, 8).partial_sums[-1], np.eye(2))
-        assert_allclose(general_pitaron_expansion(spec, 0.0, 1.0, 8).partial_sums[-1], np.eye(2))
+        u = dyson_u(HamiltonianSpec(dim=2, smooth=None), 0.0, 1.0, 2, 8)
+        assert_allclose(general_norm_expansion(u).partial_sums[-1], np.eye(2))
+        assert_allclose(general_pitaron_expansion(u).partial_sums[-1], np.eye(2))
 
     def test_non_normal_closed_forms(self):
         # A and A^dagger do not commute: N_2 and P_2 keep both orderings of the pair
         spec = TREE_SPECS["nonhermitian3"]
-        a, b = _a_b(spec, 0.7, 32)
+        u = dyson_u(spec, 0.0, 0.7, 2, 32)
+        a, b = _a_b(u)
         ad, bd = a.conj().T, b.conj().T
-        norm = general_norm_expansion(spec, 0.0, 0.7, 32)
-        pit = general_pitaron_expansion(spec, 0.0, 0.7, 32)
+        norm = general_norm_expansion(u)
+        pit = general_pitaron_expansion(u)
         assert frob(ad @ a - a @ ad) > 1.0
         assert_allclose(norm.terms[2], -0.375 * (a @ a + ad @ ad) + 0.375 * (ad @ a)
                         - 0.125 * (a @ ad) + 0.5 * (b + bd), rtol=0, atol=1e-14)
@@ -356,7 +375,7 @@ class TestUnitarityDefects:
         for T in np.linspace(0.05, 0.5, 7):
             spec = spec_fn(T)
             raw = dyson_u(spec, 0.0, T, 2, 32).partial_sums[-1]
-            unitarized = general_pitaron_expansion(spec, 0.0, T, 32).partial_sums[-1]
+            unitarized = general_pitaron_expansion(dyson_u(spec, 0.0, T, 2, 32)).partial_sums[-1]
             assert unitarity_defect(unitarized) <= unitarity_defect(raw)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,12 +37,35 @@ def test_closed_forms_reject_bad_kicks(closed_form, strengths, times, t, match):
         closed_form(strengths, times, t)
 
 
+@pytest.mark.parametrize("closed_form, strengths, times", [
+    (comb_truncated_norm, [1e200], [0.0]),  # S^2 overflows
+    (comb_pitaron_expansion, [1e200], [0.0]),  # was (-inf, -1e200) with no warning
+    (comb_expansion_terms, [1e200, 1e200], [0.0, 0.5]),  # V_2 S(t_2^-) overflows
+    (comb_pitaron_expansion, [1e308, 1e308], [0.0, 0.5]),  # S itself overflows
+], ids=["truncated_norm", "pitaron_expansion", "expansion_terms", "running_strength"])
+def test_closed_forms_raise_on_overflow_without_a_warning(closed_form, strengths, times):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            closed_form(strengths, times, 1.0)
+        if closed_form is comb_truncated_norm:
+            with pytest.raises(FloatingPointError, match="overflow"):
+                closed_form(strengths, times, np.array([-1.0, 1.0]))
+
+
 class TestSmearedDelta:
     @pytest.mark.parametrize("kind", ["nascent", "gaussian", "causal"])
     @pytest.mark.parametrize("eps", [1e-3, 1e-2, 1e-1])
     def test_unit_mass(self, kind, eps):
         delta = SmearedDelta(kind=kind, epsilon=eps, center=0.7)
         assert abs(delta.numeric_mass() - 1.0) < 1e-6
+
+    def test_width_beyond_the_float_range_raises_without_a_warning(self):
+        # the Lorentzian core's (x - c)^2 and the window 2e7 eps leave the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                SmearedDelta("nascent", 1e301, 0.0).numeric_mass()
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
