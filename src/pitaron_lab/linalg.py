@@ -41,6 +41,9 @@ _EXP_THETA = np.array([(2.0**-53 * math.factorial(m + 1)) ** (1.0 / (m + 1))
 # not a warning.  Apply it as a decorator: numpy cannot enter one errstate
 # instance twice as a ``with`` block, but each decorated call gets its own.
 OVERFLOW_RAISES = np.errstate(over="raise", invalid="raise")
+# frob and frob_stack rescale a matrix whose plain norm is below this: its
+# sum of squares fell below the smallest normal float.
+_NORM_MIN = math.sqrt(np.finfo(float).smallest_normal)
 # The accuracy domain of mat_exp: at most this many squarings, ||A||_1 <= 2^20.
 # Each squaring doubles the rounding error.  Over a seeded sweep of 5130
 # Hermitian generators H (dims 1-64, 190 per squaring count s = 0..26), the
@@ -90,8 +93,19 @@ def as_stack(a) -> np.ndarray:
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, rescaled where its plain sum of squares leaves the normal range.
+
+    The rule and the bits are ``frob_stack``'s.
+    """
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if _NORM_MIN <= norm < math.inf:
+        return norm
+    scale = np.abs(a).max(initial=0.0)
+    if not 0.0 < scale < math.inf:
+        return norm
+    return float(scale * np.linalg.norm(a / scale))
 
 
 def frob_stack(a) -> np.ndarray:
@@ -103,11 +117,32 @@ def frob_stack(a) -> np.ndarray:
     ``frob(a[k])``, strided and transposed views included.  A stacked
     ``np.linalg.norm(axis=(-2, -1))`` sums in another order.  A stack of
     vectors is reduced as ``frob_stack(v[..., None])``.
+
+    Where that plain sum of squares overflows, or falls below the
+    smallest normal float (so has lost digits or underflowed to 0) for a
+    matrix with a nonzero entry, the matrix is divided by its largest
+    entry magnitude first and the norm scaled back, as LAPACK's ``nrm2``
+    scales.  Every other norm keeps the bits of the plain sum.  A norm is
+    inf only if it lies beyond the float range, where the scaling back
+    follows the caller's ``np.errstate``, or if an entry is inf.
     """
     a = np.asarray(a)
     if abs(a.strides[-1]) > abs(a.strides[-2]):
         a = a.swapaxes(-1, -2)  # frob ravels each matrix in memory order
     flat = a.reshape(*a.shape[:-2], -1)
+    with np.errstate(over="ignore"):
+        norm = _root_sum_squares(flat)
+    if _NORM_MIN <= norm.min() <= norm.max() < math.inf:
+        return norm
+    scale = np.abs(flat).max(axis=-1, initial=0.0)
+    redo = ~((_NORM_MIN <= norm) & (norm < math.inf)) & (0.0 < scale) & (scale < math.inf)
+    norm, scale = np.array(norm), scale[redo]  # a 0-d norm for one matrix
+    norm[redo] = scale * _root_sum_squares(flat[redo] / scale[:, None])
+    return norm[()]
+
+
+def _root_sum_squares(flat: np.ndarray) -> np.ndarray:
+    """sqrt of the sum of |entry|^2 along the last axis, as two BLAS dot products."""
     if np.iscomplexobj(flat):
         return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
     return np.sqrt(np.vecdot(flat, flat))

@@ -14,10 +14,12 @@ the unitarization.
 ``pitaron(U)`` forms, from one singular value decomposition of U,
 N = (U U^dagger)^(-1/2), the manifestly unitary P = N @ U and the
 condition number of U, and it fails above ``COND_THRESHOLD``.  It is the
-one-matrix case of the stacked unitarization, the only route to N.  A
-``Trajectory`` keeps one matrix stack, U, and one column per diagnostic:
-N and P of snapshot k are ``pitaron(traj.U[k])``, bit for bit the ones its
-columns were reduced from, the identity at t0 included.  The three
+only route to N.  A ``Trajectory`` keeps one matrix stack, U, and one
+column per diagnostic, and forms no N: each SVD block gives defect_U,
+cond_U and n_distance = ||N - 1||_F = ||sigma^-1 - 1||_2 from the
+singular values, and P only for defect_P.  ``pitaron(traj.U[k])`` has
+the bits of snapshot k's defect_U, defect_P and cond_U, the identity at
+t0 included, and its N gives n_distance to within rounding.  The three
 right-hand-side routines evaluate the evolution laws claimed for dN/dt so
 tests can compare them against finite differences of the definition.
 
@@ -44,7 +46,9 @@ from .hamiltonian import HamiltonianSpec, SplitHamiltonian
 from .linalg import (
     COND_THRESHOLD,
     HERMITICITY_TOL,
+    OVERFLOW_RAISES,
     _matmul,
+    _root_sum_squares,
     as_matrix,
     as_stack,
     frob,
@@ -98,10 +102,12 @@ class Trajectory:
     Entry k of every column belongs to the snapshot at ``grid[k]``:
     ``U`` is the ``(len(grid), dim, dim)`` stack of U(grid[k], t0), and
     ``defect_U``, ``defect_P`` and ``cond_U`` (as in ``PropagatorTriple``),
-    ``n_distance`` = ||N - 1||_F and ``z_factors`` (None without a
-    reference state) hold one float per snapshot.  N and P are not kept:
-    those of snapshot k are ``pitaron(U[k])``, bit for bit the ones the
-    columns were reduced from.
+    ``n_distance`` and ``z_factors`` (None without a reference state) hold
+    one float per snapshot.  n_distance = ||N - 1||_F is reduced from the
+    singular values alone, as ||sigma^-1 - 1||_2, and no N is formed.
+    N and P are not kept: those of snapshot k are ``pitaron(U[k])``, whose
+    defect_U, defect_P and cond_U have the bits of the columns and whose
+    ||N - 1||_F agrees with n_distance to within rounding.
     """
 
     grid: np.ndarray
@@ -121,9 +127,11 @@ class Trajectory:
 # Bytes of complex128 matrices that one stacked step holds per operand: the
 # factors sampled, exponentiated and folded at once, and the snapshots of one
 # stacked SVD.  Larger stacks are walked in blocks; at dim 64 a block is 4
-# matrices.  Each SVD block allocates its own N, P and temporaries: a
-# 41-snapshot dim-64 chain peaks at +1.5 MiB resident memory over blocks of
-# one matrix with this budget, +5.9 MiB with 1 MiB and +16 MiB with 4 MiB.
+# matrices.  Each SVD block allocates its own W, V^dagger, P and temporaries:
+# above its U stack, a 41-snapshot dim-64 chain peaks at +1.3 MiB resident
+# memory with this budget (tracemalloc: +1.4 MiB), +0.2 MiB with blocks of one
+# matrix, +5.4 MiB with 1 MiB and +13 MiB with 4 MiB (ru_maxrss of a fresh
+# process after a warm-up call).
 # So the Dyson node tree keeps its own budget, series._TREE_BYTES (4 MiB):
 # one budget large enough for the tree would cost dim-64 trajectories that
 # memory.
@@ -211,6 +219,8 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int) -> np.nd
     ``linalg._matmul`` give each matrix the bits it has alone, so every
     product is bit-identical to the same tree over its cell alone,
     whatever the block size, and within rounding of a sequential fold.
+    The cells of one factor of a constant spec are written from the table
+    straight into their slots, one broadcast per table entry.
     Overflow while exponentiating or folding, or an exponent outside
     ``mat_exp``'s accuracy domain, raises ``FloatingPointError``.
     ``products`` is a stack of ``len(grid)`` matrices, so that
@@ -246,6 +256,12 @@ def _cell_products(spec: HamiltonianSpec, grid: np.ndarray, steps: int) -> np.nd
     # not np.unique: on a first call it imports numpy.ma, ~25 ms
     for n in sorted(set(count.tolist()) - {0}):
         cells = np.flatnonzero(count == n)
+        if constant and n == 1:
+            # each table entry broadcast straight into its cells' slots: one copy, no temporary
+            entry = ids[start[cells]]
+            for j in set(entry.tolist()):
+                products[cells[entry == j] + 1] = table[j]
+            continue
         _fold(factors, ids[start[cells][:, None] + np.arange(n)], block, products, cells + 1)
     return products
 
@@ -329,6 +345,7 @@ def _as_propagator(u) -> np.ndarray:
         raise
 
 
+@OVERFLOW_RAISES
 def pitaron(u) -> PropagatorTriple:
     """Assemble the unitarized triple (U, N, P = N @ U) with diagnostics.
 
@@ -338,24 +355,30 @@ def pitaron(u) -> PropagatorTriple:
     sigma_min and defect_U = ||Sigma^2 - 1||, which is ||U^dagger U - 1||_F
     because U^dagger U - 1 = V (Sigma^2 - 1) V^dagger.  A singular U, or
     one with cond_U above ``COND_THRESHOLD``, raises ``LinAlgError``;
-    non-finite entries raise ``FloatingPointError``.  It is the one-matrix
-    case of the stacked unitarization that ``evolve_trajectory`` uses.
+    non-finite entries, or a result beyond the float range, raise
+    ``FloatingPointError``.  P and the diagnostics are the stacked
+    unitarization's that ``evolve_trajectory`` uses, bit for bit; N is
+    formed only here, from the same SVD.
     """
     u = _as_propagator(u)
-    n, p, defect_u, defect_p, cond, _ = _unitarize(u[None])
+    w, s, p, (defect_u, defect_p, cond, _) = _unitarize(u[None])
+    n = hermitize((w / s[:, None, :]) @ w.conj().swapaxes(-1, -2))
     return PropagatorTriple(U=u, N=n[0], P=p[0], defect_U=float(defect_u[0]),
                             defect_P=float(defect_p[0]), cond_U=float(cond[0]))
 
 
+@OVERFLOW_RAISES
 def _unitarize(u: np.ndarray):
-    """``pitaron`` of every matrix of the stack ``u``, from one stacked SVD.
+    """W, sigma, P = W V^dagger and the columns of every matrix of the stack ``u``, from one SVD.
 
-    Returns the stacks N and P and the columns ``(defect_U, defect_P,
-    cond_U, n_distance)``, n_distance = ||N - 1||_F, for that stack.
-    Every entry has the bits of ``pitaron`` of its matrix alone; the
-    norms are reduced per matrix by ``frob_stack``, as ``frob`` reduces
-    them.  The first matrix that fails decides the error, as if the
-    matrices were unitarized in turn.
+    The columns are ``(defect_U, defect_P, cond_U, n_distance)``.  No N is
+    formed: N - 1 = W (Sigma^-1 - 1) W^dagger, so n_distance = ||N - 1||_F
+    is ||sigma^-1 - 1||_2, and P is formed only for defect_P.  Every entry
+    has the bits of its matrix alone; the norms are reduced per matrix by
+    ``frob_stack``, as ``frob`` reduces them.  Of the matrices whose SVD
+    fails (singular, above ``COND_THRESHOLD`` or non-finite), the first
+    decides the error, as if the matrices were unitarized in turn; then a
+    column beyond the float range raises ``FloatingPointError``.
     """
     finite = np.isfinite(u).all(axis=(-2, -1))
     stop = len(u) if finite.all() else int(np.argmin(finite))
@@ -373,11 +396,10 @@ def _unitarize(u: np.ndarray):
     if stop < len(u):
         raise FloatingPointError("propagator has non-finite entries (overflow)")
     p = w @ vh
-    n = hermitize((w / s[:, None, :]) @ w.conj().swapaxes(-1, -2))
-    eye = np.eye(u.shape[-1])
-    defect_p = frob_stack(p.conj().swapaxes(-1, -2) @ p - eye)
+    defect_p = frob_stack(p.conj().swapaxes(-1, -2) @ p - np.eye(u.shape[-1]))
     defect_u = frob_stack((s * s - 1.0)[..., None])
-    return n, p, defect_u, defect_p, cond, frob_stack(n - eye)
+    n_distance = frob_stack((1.0 / s - 1.0)[..., None])
+    return w, s, p, (defect_u, defect_p, cond, n_distance)
 
 
 def _reference_norm(psi: np.ndarray, dim: int) -> float:
@@ -398,13 +420,16 @@ def z_factor(u, psi):
     ``(..., n, n)`` (an array of ``u.shape[:-2]``), and entry k has the
     bits of ``z_factor(u[k], psi)``.  A reference state whose norm is not
     a positive finite float raises ``ValueError``; an overflow in U psi
-    or in its norm raises ``FloatingPointError``.
+    or in its norm raises ``FloatingPointError``.  Both norms are the
+    plain root of a sum of squares, ``frob_stack``'s sum without its
+    rescaling, so U psi meets the reference state's own limit: a sum of
+    squares beyond the float range is an overflow.
     """
     u = as_stack(u)
     psi = np.asarray(psi, dtype=np.complex128)
     norm = _reference_norm(psi, u.shape[-1])
     with np.errstate(over="raise", invalid="raise"):
-        ratio = frob_stack((u @ psi)[..., None]) / norm
+        ratio = _root_sum_squares(u @ psi) / norm
     return float(ratio) if u.ndim == 2 else ratio
 
 
@@ -466,9 +491,11 @@ def evolve_trajectory(
 
     One pass reuses partial products: U(g_k, t0) = U(g_k, g_{k-1}) @
     U(g_{k-1}, t0).  Kicks at grid times land in the cell ending there.
-    Every snapshot is ``pitaron`` of the cumulative product; the first is
-    that of the identity, which is exact: U = N = P = 1, zero defects and
-    cond_U = 1.  ``z_factors`` tracks ||U psi0|| / ||psi0|| for the
+    Every snapshot's columns are those of ``pitaron`` of the cumulative
+    product, n_distance taken from its singular values; the first snapshot
+    is the identity, whose columns are written, not computed: zero
+    defects, cond_U = 1 and n_distance = 0, as ``pitaron`` gives them
+    exactly (N = P = 1).  ``z_factors`` tracks ||U psi0|| / ||psi0|| for the
     reference state ``psi0`` when one is supplied, as one stacked
     ``z_factor`` call; a ``psi0`` whose norm is not a positive finite
     float is rejected before any stepping.
@@ -481,15 +508,20 @@ def evolve_trajectory(
     ``steps_per_cell`` (still at least 1) does not change its U; each
     distinct cell width is exponentiated once, in a table dropped on
     return.  The scan turns the stack of cell products into the U stack in
-    place.  The snapshots are unitarized by one stacked SVD per block,
-    whose N and P are reduced to the diagnostic columns and dropped.
-    Stacks of factors and of snapshots are walked in blocks of
-    ``_BLOCK_BYTES`` per operand; beside the U stack a call holds a few
-    numbers per piece (and a constant spec its table).
-    Every snapshot's U and columns are bit-identical to ``pitaron`` of
-    ``step_propagator`` of its cell times the snapshot before it, and the
-    first snapshot that fails raises as ``pitaron`` would; an overflow
-    while stepping raises ``FloatingPointError`` before any of them.
+    place.  The snapshots after the first are unitarized by one stacked
+    SVD per block, which forms no N: defect_U, cond_U and n_distance =
+    ||sigma^-1 - 1||_2 come from the singular values, and P = W V^dagger
+    is formed only for defect_P and dropped.  Stacks of factors and of
+    snapshots are walked in blocks of ``_BLOCK_BYTES`` per operand; beside
+    the U stack a call holds a few numbers per piece (and a constant spec
+    its table).
+    Every snapshot's U, defect_U, defect_P and cond_U are bit-identical to
+    ``pitaron`` of ``step_propagator`` of its cell times the snapshot
+    before it, and its n_distance to ||sigma^-1 - 1||_2 of the same SVD.
+    The first snapshot whose SVD fails raises as ``pitaron`` would, and a
+    column beyond the float range raises ``FloatingPointError``; an
+    overflow while stepping raises ``FloatingPointError`` before any of
+    them.
     """
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
@@ -506,8 +538,11 @@ def evolve_trajectory(
         for k in range(1, grid_points):
             u[k] = u[k] @ u[k - 1]
     block = _block(spec.dim)
-    columns = [_unitarize(u[lo:lo + block])[2:] for lo in range(0, grid_points, block)]
-    defect_u, defect_p, cond, n_distance = (np.concatenate(c) for c in zip(*columns))
+    blocks = [_unitarize(u[lo:lo + block])[3] for lo in range(1, grid_points, block)]
+    # snapshot 0 is the identity, whose columns are exact: no defects, cond_U 1 and N = 1
+    defect_u, defect_p, cond, n_distance = (
+        np.concatenate([[first], *column]) for first, column in zip((0.0, 0.0, 1.0, 0.0),
+                                                                    zip(*blocks)))
     return Trajectory(
         grid=grid, U=u, defect_U=defect_u, defect_P=defect_p, cond_U=cond,
         n_distance=n_distance, z_factors=None if psi0 is None else z_factor(u, psi0),

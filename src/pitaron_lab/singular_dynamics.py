@@ -73,7 +73,10 @@ class SmearedDelta:
         x = np.asarray(x, dtype=float)
         u = x - self.center
         if self.kind == "nascent":
-            return self.epsilon / (np.pi * (u * u + self.epsilon**2))
+            # a width whose square is beyond the float range is an overflow, not a zero density
+            with np.errstate(over="raise"):
+                width2 = np.float64(self.epsilon) ** 2
+            return self.epsilon / (np.pi * (u * u + width2))
         if self.kind == "gaussian":
             return np.exp(-u * u / (4.0 * self.epsilon)) / (2.0 * math.sqrt(math.pi * self.epsilon))
         # causal: right-continuous at the jump (value 1/eps at the center),

@@ -6,13 +6,15 @@ Gauss-Legendre quadrature that never eigendecomposes, the unitary polar
 factor comes from a Newton iteration built on matrix inverses rather
 than a singular value decomposition, the double integral is a
 brute-force sum over the ordered triangle, the stepper samples one
-time and exponentiates one factor at a time, and the nested Simpson
-rule recurses one node at a time.  Nothing here imports
+time and exponentiates one factor at a time, the nested Simpson
+rule recurses one node at a time, and ||N - 1||_F comes from singular
+values computed by mpmath at 50 digits.  Nothing here imports
 ``pitaron_lab`` (``test_oracles.py`` checks this).
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 
@@ -134,6 +136,14 @@ def nested_simpson(sample, t0: float, upper: float, depth: int, panels: int,
             h = h @ nested_simpson(sample, t0, x, depth - 1, panels, dim)
         total += w * h
     return total
+
+
+def exact_n_distance(u: np.ndarray, digits: int = 50) -> float:
+    """||N - 1||_F = ||sigma^-1 - 1||_2 of N = (U U^dagger)^(-1/2), from an SVD at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        sigma = mpmath.svd_c(mpmath.matrix(np.asarray(u, dtype=complex).tolist()),
+                             compute_uv=False)
+        return float(mpmath.sqrt(mpmath.fsum((1 / s - 1) ** 2 for s in sigma)))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -633,6 +633,14 @@ class TestMainEntryPoint:
         assert main(["run", str(write_config(tmp_path, "cap.json", config)),
                      "--out", str(tmp_path)]) == 0
 
+    def test_smearing_width_whose_square_overflows_exits_three(self, tmp_path, capsys):
+        config = with_params(SMEARING_CONFIG, kind="nascent", pairs=[[1e200, 1e200]])
+        path = write_config(tmp_path, "wide.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "overflow" in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
     def test_exponential_beyond_the_accuracy_domain_exits_three(self, tmp_path, capsys):
         # Hermitian, so U is unitary; 53 squarings would report defect_U 0.35 with exit 0
         matrix = [[[1e16, 0], [3e15, 0]], [[3e15, 0], [-1e16, 0]]]

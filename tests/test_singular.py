@@ -67,6 +67,15 @@ class TestSmearedDelta:
             with pytest.raises(FloatingPointError, match="overflow"):
                 SmearedDelta("nascent", 1e301, 0.0).numeric_mass()
 
+    def test_nascent_width_whose_square_overflows_raises_without_a_warning(self):
+        # eps^2 leaves the float range from eps ~ 1.3e154 on; the density is not 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                SmearedDelta("nascent", 1e200, 0.0).density(0.0)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                smeared_second_order(1e200, 1e200, "nascent", 1.0, 2.0, panels=10)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             SmearedDelta(kind="triangle", epsilon=0.1, center=0.0)
