@@ -356,13 +356,12 @@ def _run_dyson(cfg: ExperimentConfig):
     for T, exact in zip(T_list, exacts):
         dyson = series.dyson_u(spec, 0.0, T, max(orders), panels)
         pit = series.general_pitaron_expansion(dyson)
-        for order in orders:
-            partial_sum = dyson.partial_sums[order]
-            columns["T"].append(T)
-            columns["order"].append(order)
-            columns["err_partial"].append(frob(partial_sum - exact))
-            columns["defect_partial"].append(unitarity_defect(partial_sum))
-            columns["err_pitaron_expansion"].append(frob(pit.partial_sums[order] - exact))
+        sums, pit_sums = (np.array(e.partial_sums)[orders] for e in (dyson, pit))
+        columns["T"] += [T] * len(orders)
+        columns["order"] += orders
+        columns["err_partial"] += frob(sums - exact).tolist()
+        columns["defect_partial"] += unitarity_defect(sums).tolist()
+        columns["err_pitaron_expansion"] += frob(pit_sums - exact).tolist()
     scalars = {}
     for i, order in enumerate(orders):  # the orders are distinct: each T repeats them in turn
         slope = series.log_log_slope(T_list, columns["err_partial"][i::len(orders)])
@@ -387,7 +386,7 @@ def _run_picard(cfg: ExperimentConfig):
         def bound(n: int) -> float:
             try:
                 return pic.error_bound(m, k, x1, n)
-            except OverflowError:
+            except FloatingPointError:
                 return math.inf
 
         columns = {"n": range(n_max + 1), "sup_error": run.errors,

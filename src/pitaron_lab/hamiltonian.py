@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, as_matrix, as_stack, frob, hermiticity_defect, hermitize
+from .linalg import (HERMITICITY_TOL, OVERFLOW_RAISES, as_matrix, as_stack, frob,
+                     hermiticity_defect, hermitize)
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -150,6 +151,7 @@ class SplitHamiltonian:
     commutator_norm: float
 
 
+@OVERFLOW_RAISES
 def hermitian_split(h) -> SplitHamiltonian:
     """Split H into Hermitian and anti-Hermitian parts, H = Hh - i*J.
 
@@ -214,6 +216,7 @@ def pauli_hamiltonian(f1, f2, f3) -> HamiltonianSpec:
     return spec
 
 
+@OVERFLOW_RAISES
 def nhse_hamiltonian(l: int, onsite: float, hop, gamma) -> np.ndarray:
     """Single-particle lattice Hamiltonian with asymmetric hopping.
 
@@ -243,6 +246,7 @@ def nhse_hamiltonian(l: int, onsite: float, hop, gamma) -> np.ndarray:
     return h
 
 
+@OVERFLOW_RAISES
 def dirac_comb_spec(
     kick_strengths: Sequence[float],
     kick_times: Sequence[float],

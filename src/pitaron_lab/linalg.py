@@ -3,9 +3,9 @@
 Everything downstream (propagators, normalization operators, expansions)
 compiles down to the primitives in this module: the matrix exponential,
 Frobenius-norm defects and the Lyapunov solve.  All matrices are square
-complex128 numpy arrays, validated on entry.  ``mat_exp`` also takes a
-stack ``(..., n, n)`` and exponentiates it in one call, and ``frob_stack``
-reduces one, each matrix exactly as it would be on its own.  Stacked
+complex128 numpy arrays, validated on entry.  ``mat_exp``, ``frob`` (the
+one norm of the package) and the defects also take a stack ``(..., n, n)``
+and treat it in one call, each matrix exactly as on its own.  Stacked
 products inside the kernel (and the stepper's fold) go through one
 private product, ``_matmul``: entrywise at dim 1 and 2, where a stacked
 ``@`` would spend its time in one BLAS call per matrix, and ``@`` above.
@@ -37,12 +37,13 @@ COND_THRESHOLD = 1e12
 # ||A||_1 <= 0.5.
 _EXP_THETA = np.array([(2.0**-53 * math.factorial(m + 1)) ** (1.0 / (m + 1))
                        for m in range(1, 15)])
-# The one overflow rule: a value beyond the float range raises FloatingPointError,
-# not a warning.  Apply it as a decorator: numpy cannot enter one errstate
-# instance twice as a ``with`` block, but each decorated call gets its own.
-OVERFLOW_RAISES = np.errstate(over="raise", invalid="raise")
-# frob and frob_stack rescale a matrix whose plain norm is below this: its
-# sum of squares fell below the smallest normal float.
+# The one overflow rule: a value beyond the float range (an overflow, or a
+# division by zero) raises FloatingPointError, not a warning.  Apply it as a
+# decorator: numpy cannot enter one errstate instance twice as a ``with``
+# block, but each decorated call gets its own.
+OVERFLOW_RAISES = np.errstate(over="raise", invalid="raise", divide="raise")
+# frob rescales a matrix whose plain norm is below this: its sum of squares
+# fell below the smallest normal float.
 _NORM_MIN = math.sqrt(np.finfo(float).smallest_normal)
 # The accuracy domain of mat_exp: at most this many squarings, ||A||_1 <= 2^20.
 # Each squaring doubles the rounding error.  Over a seeded sweep of 5130
@@ -59,7 +60,6 @@ __all__ = [
     "as_matrix",
     "as_stack",
     "frob",
-    "frob_stack",
     "hermiticity_defect",
     "unitarity_defect",
     "mat_exp",
@@ -92,31 +92,14 @@ def as_stack(a) -> np.ndarray:
     return _square_stack(a, "a square matrix or a stack of them")
 
 
-def frob(a: np.ndarray) -> float:
-    """Frobenius norm, rescaled where its plain sum of squares leaves the normal range.
+def frob(a):
+    """Frobenius norm of a matrix (a float) or of each matrix of a stack ``(..., m, n)`` (an array).
 
-    The rule and the bits are ``frob_stack``'s.
-    """
-    a = np.asarray(a)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if _NORM_MIN <= norm < math.inf:
-        return norm
-    scale = np.abs(a).max(initial=0.0)
-    if not 0.0 < scale < math.inf:
-        return norm
-    return float(scale * np.linalg.norm(a / scale))
-
-
-def frob_stack(a) -> np.ndarray:
-    """Frobenius norm of each matrix of the stack ``a`` of shape ``(..., m, n)``.
-
-    Each matrix is reduced as ``frob`` reduces it alone: its entries in
-    memory order, summed as two BLAS dot products over the real and the
-    imaginary parts (one for a real stack), so entry k has the bits of
-    ``frob(a[k])``, strided and transposed views included.  A stacked
-    ``np.linalg.norm(axis=(-2, -1))`` sums in another order.  A stack of
-    vectors is reduced as ``frob_stack(v[..., None])``.
+    Each matrix is reduced alone: its entries in memory order, summed as
+    two BLAS dot products over the real and the imaginary parts (one for
+    a real matrix), so entry k of a stack has the bits of ``frob(a[k])``,
+    strided and transposed views included.  A vector ``v``, or a stack of
+    them, is reduced as ``frob(v[..., None])``.
 
     Where that plain sum of squares overflows, or falls below the
     smallest normal float (so has lost digits or underflowed to 0) for a
@@ -126,19 +109,20 @@ def frob_stack(a) -> np.ndarray:
     inf only if it lies beyond the float range, where the scaling back
     follows the caller's ``np.errstate``, or if an entry is inf.
     """
-    a = np.asarray(a)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)  # no integer sums
     if abs(a.strides[-1]) > abs(a.strides[-2]):
-        a = a.swapaxes(-1, -2)  # frob ravels each matrix in memory order
+        a = a.swapaxes(-1, -2)  # each matrix is summed in memory order
     flat = a.reshape(*a.shape[:-2], -1)
     with np.errstate(over="ignore"):
         norm = _root_sum_squares(flat)
-    if _NORM_MIN <= norm.min() <= norm.max() < math.inf:
-        return norm
-    scale = np.abs(flat).max(axis=-1, initial=0.0)
-    redo = ~((_NORM_MIN <= norm) & (norm < math.inf)) & (0.0 < scale) & (scale < math.inf)
-    norm, scale = np.array(norm), scale[redo]  # a 0-d norm for one matrix
-    norm[redo] = scale * _root_sum_squares(flat[redo] / scale[:, None])
-    return norm[()]
+    if not _NORM_MIN <= norm.min() <= norm.max() < math.inf:
+        scale = np.abs(flat).max(axis=-1, initial=0.0)
+        redo = ~((_NORM_MIN <= norm) & (norm < math.inf)) & (0.0 < scale) & (scale < math.inf)
+        norm, scale = np.array(norm), scale[redo]  # a 0-d norm for one matrix
+        # real over real: a complex quotient multiplies by 1 / scale, inf for a subnormal scale
+        parts = flat[redo].view(flat.real.dtype) / scale[:, None]
+        norm[redo] = scale * _root_sum_squares(parts.view(flat.dtype))
+    return float(norm) if a.ndim == 2 else norm
 
 
 def _root_sum_squares(flat: np.ndarray) -> np.ndarray:
@@ -148,15 +132,17 @@ def _root_sum_squares(flat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """||A - A^dagger||_F; zero iff A is Hermitian."""
-    return frob(a - a.conj().T)
+@OVERFLOW_RAISES
+def hermiticity_defect(a):
+    """||A - A^dagger||_F of a matrix or of each matrix of a stack; zero iff A is Hermitian."""
+    return frob(a - np.conj(a).swapaxes(-1, -2))
 
 
-def unitarity_defect(a: np.ndarray) -> float:
-    """||A^dagger A - 1||_F; zero iff A is unitary."""
+@OVERFLOW_RAISES
+def unitarity_defect(a):
+    """||A^dagger A - 1||_F of a matrix or of each matrix of a stack; zero iff A is unitary."""
     a = np.asarray(a)
-    return frob(a.conj().T @ a - np.eye(a.shape[0]))
+    return frob(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -292,6 +278,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+@OVERFLOW_RAISES
 def lyapunov_solve(n, q) -> np.ndarray:
     """Solve N @ X + X @ N = Q for Hermitian positive definite N.
 

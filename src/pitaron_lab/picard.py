@@ -19,6 +19,7 @@ closed-form two-branch evaluator.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -108,17 +109,20 @@ def error_bound(M: float, Nlip: float, h: float, n: int) -> float:
     (n! is beyond the float range from n = 171 on, and N^(n-1) or h^n can
     be), the bound is taken in log space, log n! = lgamma(n + 1), so a
     bound that tends to 0 stays a float (down to underflow); a bound that
-    is itself beyond the float range raises ``OverflowError``.
+    is itself beyond the float range raises ``FloatingPointError``.
     """
     if min(M, Nlip, h) <= 0 or n < 1:
         raise ValueError("bound parameters must be positive and n >= 1")
     if n <= 170:  # 171! is beyond the float range
-        try:
-            return M * Nlip ** (n - 1) * h**n / math.factorial(n)
-        except OverflowError:
-            pass
-    return math.exp(math.log(M) + (n - 1) * math.log(Nlip) + n * math.log(h)
-                    - math.lgamma(n + 1))
+        with contextlib.suppress(OverflowError):
+            bound = M * Nlip ** (n - 1) * h**n / math.factorial(n)
+            if bound < math.inf:
+                return bound
+    try:
+        return math.exp(math.log(M) + (n - 1) * math.log(Nlip) + n * math.log(h)
+                        - math.lgamma(n + 1))
+    except OverflowError:
+        raise FloatingPointError(f"error bound of iterate {n} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -197,13 +201,16 @@ def identity_sqrt_family(a: float, b: float) -> np.ndarray:
     identity for any a.  For b == 0 the traceless form degenerates and
     only a = +/-1 survives, giving the diagonal roots a * I.  The unique
     positive definite root is the identity itself; everything else in
-    the family fails positivity.
+    the family fails positivity.  An entry (1 - a^2)/b beyond the float
+    range raises ``FloatingPointError``.
     """
     if b == 0.0:
         if abs(a) != 1.0:
             raise ValueError("with b = 0 only a = +/-1 squares to the identity")
         return np.diag([a, a]).astype(np.complex128)
     c = (1.0 - a * a) / b
+    if not math.isfinite(c):
+        raise FloatingPointError(f"(1 - a^2) / b = {c} is beyond the float range")
     return np.array([[a, b], [c, -a]], dtype=np.complex128)
 
 

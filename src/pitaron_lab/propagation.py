@@ -48,15 +48,14 @@ from .linalg import (
     HERMITICITY_TOL,
     OVERFLOW_RAISES,
     _matmul,
-    _root_sum_squares,
     as_matrix,
     as_stack,
     frob,
-    frob_stack,
     hermiticity_defect,
     hermitize,
     lyapunov_solve,
     mat_exp,
+    unitarity_defect,
 )
 
 __all__ = [
@@ -186,6 +185,7 @@ def _layout(spec: HamiltonianSpec, grid: np.ndarray, steps: int):
     return np.array([len(k) for _, _, k in parts]), width, mid, kick
 
 
+@OVERFLOW_RAISES
 def _exponentials(spec: HamiltonianSpec, width, mid, kick, kick_exponents) -> np.ndarray:
     """exp(-i w H(mid)) per smooth piece and exp(-i V) per kick, one stacked call each."""
     piece = kick < 0
@@ -374,11 +374,11 @@ def _unitarize(u: np.ndarray):
     The columns are ``(defect_U, defect_P, cond_U, n_distance)``.  No N is
     formed: N - 1 = W (Sigma^-1 - 1) W^dagger, so n_distance = ||N - 1||_F
     is ||sigma^-1 - 1||_2, and P is formed only for defect_P.  Every entry
-    has the bits of its matrix alone; the norms are reduced per matrix by
-    ``frob_stack``, as ``frob`` reduces them.  Of the matrices whose SVD
-    fails (singular, above ``COND_THRESHOLD`` or non-finite), the first
-    decides the error, as if the matrices were unitarized in turn; then a
-    column beyond the float range raises ``FloatingPointError``.
+    has the bits of its matrix alone, as ``frob`` and ``unitarity_defect``
+    reduce a stack.  Of the matrices whose SVD fails (singular, above
+    ``COND_THRESHOLD`` or non-finite), the first decides the error, as if
+    the matrices were unitarized in turn; then a column beyond the float
+    range raises ``FloatingPointError``.
     """
     finite = np.isfinite(u).all(axis=(-2, -1))
     stop = len(u) if finite.all() else int(np.argmin(finite))
@@ -396,10 +396,9 @@ def _unitarize(u: np.ndarray):
     if stop < len(u):
         raise FloatingPointError("propagator has non-finite entries (overflow)")
     p = w @ vh
-    defect_p = frob_stack(p.conj().swapaxes(-1, -2) @ p - np.eye(u.shape[-1]))
-    defect_u = frob_stack((s * s - 1.0)[..., None])
-    n_distance = frob_stack((1.0 / s - 1.0)[..., None])
-    return w, s, p, (defect_u, defect_p, cond, n_distance)
+    defect_u = frob((s * s - 1.0)[..., None])
+    n_distance = frob((1.0 / s - 1.0)[..., None])
+    return w, s, p, (defect_u, unitarity_defect(p), cond, n_distance)
 
 
 def _reference_norm(psi: np.ndarray, dim: int) -> float:
@@ -407,7 +406,7 @@ def _reference_norm(psi: np.ndarray, dim: int) -> float:
     if psi.shape != (dim,):
         raise ValueError(f"reference state must have shape ({dim},), got {psi.shape}")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(psi))
+        norm = frob(psi[:, None])
     if not 0.0 < norm < math.inf:
         raise ValueError(f"reference state must be nonzero with a finite norm, got norm {norm}")
     return norm
@@ -419,20 +418,19 @@ def z_factor(u, psi):
     ``u`` is a square matrix (the result is a float) or a stack
     ``(..., n, n)`` (an array of ``u.shape[:-2]``), and entry k has the
     bits of ``z_factor(u[k], psi)``.  A reference state whose norm is not
-    a positive finite float raises ``ValueError``; an overflow in U psi
-    or in its norm raises ``FloatingPointError``.  Both norms are the
-    plain root of a sum of squares, ``frob_stack``'s sum without its
-    rescaling, so U psi meets the reference state's own limit: a sum of
-    squares beyond the float range is an overflow.
+    a positive finite float raises ``ValueError``; an overflow in U psi,
+    its norm or the ratio raises ``FloatingPointError``.  Both norms are
+    ``frob``'s, so each is finite wherever it is a float.
     """
     u = as_stack(u)
     psi = np.asarray(psi, dtype=np.complex128)
     norm = _reference_norm(psi, u.shape[-1])
     with np.errstate(over="raise", invalid="raise"):
-        ratio = _root_sum_squares(u @ psi) / norm
+        ratio = np.divide(frob((u @ psi)[..., None]), norm)
     return float(ratio) if u.ndim == 2 else ratio
 
 
+@OVERFLOW_RAISES
 def liouville_rhs(h, n) -> np.ndarray:
     """-i [H, N], the probability-conserving law for Hermitian H.
 
@@ -448,6 +446,7 @@ def liouville_rhs(h, n) -> np.ndarray:
     return -1j * (h @ n - n @ h)
 
 
+@OVERFLOW_RAISES
 def general_n_rhs(split: SplitHamiltonian, n) -> np.ndarray:
     """-i [Hh, N] + N @ J for the split H = Hh - i J.
 
@@ -460,6 +459,7 @@ def general_n_rhs(split: SplitHamiltonian, n) -> np.ndarray:
     return -1j * (hh @ n - n @ hh) + n @ split.j_part
 
 
+@OVERFLOW_RAISES
 def lyapunov_n_rhs(u, du, n) -> np.ndarray:
     """dN/dt obtained from its defining relation via a Lyapunov solve.
 

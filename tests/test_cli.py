@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -412,11 +413,13 @@ class TestMainEntryPoint:
         assert "numerical failure" in done.stderr
         assert not list(tmp_path.glob("huge.*"))
 
-    # psi0 entries of 1e200: ||psi0||^2 lies beyond the float range
-    HUGE_STATE = with_params(PAULI_CONFIG, psi0=[[1e200, 0.0], [1e200, 0.0]])
-    # H = i on one level: U = e^t reaches 2.2e4 at t = 10, and ||U psi0||^2 ~ 5e312
-    GROWING_STATE = with_params(CONSTANT_CONFIG, matrix=[[[0.0, 1.0]]], psi0=[[1e152, 0.0]],
+    # psi0 entries of 1.5e308: ||psi0|| = 2.1e308 lies beyond the float range
+    HUGE_STATE = with_params(PAULI_CONFIG, psi0=[[1.5e308, 0.0], [1.5e308, 0.0]])
+    # H = i on one level: U = e^t reaches 2.2e4 at t = 10, and ||U psi0|| ~ 2.2e309
+    GROWING_STATE = with_params(CONSTANT_CONFIG, matrix=[[[0.0, 1.0]]], psi0=[[1e305, 0.0]],
                                 t1=10.0, grid_points=3)
+    # the same growth from 1e152: ||U psi0|| ~ 2.2e156 is a float, though its square is not
+    LARGE_STATE = with_params(GROWING_STATE, psi0=[[1e152, 0.0]])
 
     @pytest.mark.parametrize("config, code, message", [
         (HUGE_STATE, 2, "config error"), (GROWING_STATE, 3, "numerical failure")],
@@ -429,6 +432,15 @@ class TestMainEntryPoint:
             assert main(["run", str(path), "--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    def test_reference_state_with_a_float_norm_runs_without_a_warning(self, tmp_path):
+        path = write_config(tmp_path, "cfg.json", self.LARGE_STATE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "constant_run.summary.json").read_text())
+        assert math.isclose(summary["results"]["max_abs_z_minus_1"], math.expm1(10.0),
+                            rel_tol=1e-12)
 
     def test_huge_reference_state_exits_two_with_warnings_as_errors(self, tmp_path):
         path = write_config(tmp_path, "cfg.json", self.HUGE_STATE)

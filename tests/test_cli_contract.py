@@ -134,12 +134,17 @@ OVERFLOWING_DEFECT = {"kind": "evolve", "output_path": "constant",
 # U = e^(-100 t) 1: ||N - 1||_F = sqrt(2) (e^400 - 1) ~ 7.4e173 is a float, its square is not
 LARGE_N_DISTANCE = copy.deepcopy(OVERFLOWING_DEFECT)
 LARGE_N_DISTANCE["params"]["matrix"] = [[[0.0, -100.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -100.0]]]
+# hop + gamma = 2e308: the chain's own entries overflow before any step
+OVERFLOWING_CHAIN = {"kind": "nhse", "output_path": "nhse",
+                     "params": {"l": 3, "onsite": 0.0, "hop": 1e308, "gamma": 1e308,
+                                "t0": 0.0, "t1": 1.0, "grid_points": 3, "steps_per_cell": 1}}
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(config=configs())
 @example(config=OVERFLOWING_DEFECT)
 @example(config=LARGE_N_DISTANCE)
+@example(config=OVERFLOWING_CHAIN)
 def test_any_config_exits_0_2_or_3_and_writes_only_under_out(config):
     code, out, written, leftovers, _ = run(config)
     assert code in (0, 2, 3)
@@ -148,8 +153,9 @@ def test_any_config_exits_0_2_or_3_and_writes_only_under_out(config):
         assert not leftovers
 
 
-@pytest.mark.parametrize("config, code", [(OVERFLOWING_DEFECT, 3), (LARGE_N_DISTANCE, 0)],
-                         ids=["overflowing-defect_U", "large-n_distance"])
+@pytest.mark.parametrize("config, code", [
+    (OVERFLOWING_DEFECT, 3), (LARGE_N_DISTANCE, 0), (OVERFLOWING_CHAIN, 3)],
+    ids=["overflowing-defect_U", "large-n_distance", "overflowing-chain"])
 def test_a_diagnostic_is_finite_or_the_run_exits_3_without_a_warning(config, code):
     exit_code, _, written, _, summaries = run(config)
     assert exit_code == code

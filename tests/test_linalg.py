@@ -5,17 +5,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pitaron_lab.linalg as linalg
+from pitaron_lab.cli import DEMOS, main
 from pitaron_lab.hamiltonian import SIGMA1, SIGMA2, SIGMA3, dirac_comb_spec, pauli_hamiltonian
 from pitaron_lab.linalg import (
     as_matrix,
     frob,
+    hermiticity_defect,
     lyapunov_solve,
     mat_exp,
     simpson_grid,
     simpson_pattern,
     unitarity_defect,
 )
-from pitaron_lab.propagation import evolve_trajectory, pitaron, step_propagator
+from pitaron_lab.propagation import evolve_trajectory, pitaron, step_propagator, z_factor
 
 from oracles import (
     lyapunov_quadrature,
@@ -27,6 +29,36 @@ from oracles import (
 )
 
 EPS = np.finfo(float).eps
+
+
+class TestFrob:
+    def test_one_matrix_gives_a_float_and_a_stack_an_array(self, rng):
+        stack = np.stack([random_ginibre(rng, 3) for _ in range(4)]).reshape(2, 2, 3, 3)
+        for norms in (frob(stack), hermiticity_defect(stack), unitarity_defect(stack)):
+            assert norms.shape == (2, 2)
+        for f in (frob, hermiticity_defect, unitarity_defect):
+            assert type(f(stack[1, 0])) is float
+            assert f(stack)[1, 0] == f(stack[1, 0])
+
+    def test_subnormal_complex_entries_are_rescaled_without_a_warning(self):
+        # numpy's complex quotient multiplies by 1 / scale, inf for a subnormal scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frob(np.array([[3e-320 + 4e-320j, 0.0]])) == 5e-320
+
+    def test_integer_entries_are_summed_as_floats(self):
+        assert frob(np.array([[2**32, 0], [0, 0]])) == 2.0**32
+        assert frob([[3, 4]]) == 5.0
+
+    def test_no_second_norm_route(self, monkeypatch, tmp_path):
+        # every norm of the package is frob's: without numpy's own, the demos and z_factor run
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        for name in DEMOS:
+            assert main(["demo", name, "--out", str(tmp_path)]) == 0
+        assert z_factor(np.diag([2.0, 0.5]), [3.0, 4.0]) == frob(np.array([[6.0], [2.0]])) / 5.0
 
 
 class TestValidation:

@@ -17,7 +17,7 @@ from pitaron_lab.hamiltonian import (
     nhse_hamiltonian,
     pauli_hamiltonian,
 )
-from pitaron_lab.linalg import _matmul, frob, frob_stack, mat_exp
+from pitaron_lab.linalg import _matmul, frob, mat_exp
 from pitaron_lab.propagation import (
     evolve_trajectory,
     general_n_rhs,
@@ -202,20 +202,28 @@ class TestZFactor:
         with pytest.raises(ValueError, match="nonzero"):
             z_factor(np.eye(2), [0.0, 0.0])
 
-    @pytest.mark.parametrize("psi", [[1e200, 1e200], [np.inf, 0.0], [np.nan, 1.0], [1e-200, 0.0]],
-                             ids=["norm-overflows", "inf", "nan", "norm-underflows"])
+    @pytest.mark.parametrize("psi", [[1.5e308, 1.5e308], [np.inf, 0.0], [np.nan, 1.0]],
+                             ids=["norm-overflows", "inf", "nan"])
     def test_rejects_a_state_whose_norm_is_no_positive_float(self, psi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite norm"):
                 z_factor(np.eye(2), psi)
 
+    @pytest.mark.parametrize("psi", [[1e200, 1e200], [1e-200, 0.0]],
+                             ids=["square-overflows", "square-underflows"])
+    def test_accepts_a_state_whose_norm_is_a_float(self, psi):
+        # the sum of squares leaves the float range, the norm does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert z_factor(np.eye(2), psi) == 1.0
+
     def test_overflowing_u_psi_raises_without_a_warning(self):
-        # ||psi||^2 = 2e300 is a float; ||U psi||^2 = 2e312 is not
+        # ||psi|| = 1.4e150 is a float; U psi has entries of 1e310, which are not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError):
-                z_factor(1e6 * np.eye(2), [1e150, 1e150])
+                z_factor(1e160 * np.eye(2), [1e150, 1e150])
 
     def test_stack_gives_an_array_and_one_matrix_a_float(self, rng):
         u = np.stack([random_ginibre(rng, 3) for _ in range(4)]).reshape(2, 2, 3, 3)
@@ -441,7 +449,8 @@ class TestEvolveTrajectory:
     def test_huge_reference_state_is_rejected_before_stepping(self, monkeypatch):
         monkeypatch.setattr(propagation, "mat_exp", lambda a: pytest.fail("stepped"))
         with pytest.raises(ValueError, match="finite norm"):
-            evolve_trajectory(pauli_hamiltonian(1, 0, 0), 0.0, 1.0, 3, 2, psi0=[1e200, 0.0])
+            evolve_trajectory(pauli_hamiltonian(1, 0, 0), 0.0, 1.0, 3, 2,
+                              psi0=[1.5e308, 1.5e308])
 
     def test_z_factors_track_reference_state(self):
         spec = pauli_hamiltonian(0, 0, 1)
@@ -499,7 +508,7 @@ def _assert_n_distance_from_sigma(n_distance, triple):
     Each 1 / sigma - 1 is rounded at eps / sigma, and at eps where sigma > 1.
     """
     s = np.linalg.svd(triple.U)[1]
-    assert n_distance == frob_stack((1.0 / s - 1.0)[..., None])
+    assert n_distance == frob((1.0 / s - 1.0)[..., None])
     dim = len(s)
     assert abs(n_distance - frob(triple.N - np.eye(dim))) <= 4 * dim * EPS / min(1.0, s[-1])
 

@@ -1,6 +1,6 @@
 """Property tests of the stacked kernels and the unitarization claim.
 
-The stacked forms (``frob_stack``, ``z_factor`` of a stack, the kernel's
+The stacked forms (``frob`` and ``z_factor`` of a stack, the kernel's
 product ``_matmul``, the array form of ``comb_truncated_norm``) must give
 every entry the bits of the one-matrix or scalar call, whatever the stack
 around it; the arrays are drawn from a seed so that a failing example
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from pitaron_lab.cli import run_experiment, validate_config
 from pitaron_lab.hamiltonian import HamiltonianSpec, pauli_hamiltonian
-from pitaron_lab.linalg import _matmul, frob, frob_stack, mat_exp, unitarity_defect
+from pitaron_lab.linalg import _matmul, frob, mat_exp, unitarity_defect
 from pitaron_lab.propagation import evolve_trajectory, pitaron, z_factor
 from pitaron_lab.series import (
     dyson_u,
@@ -69,12 +69,13 @@ def stacks(draw, decades=(-300, 300)):
 
 @PROPERTY
 @given(a=stacks())
-def test_frob_stack_has_the_bits_of_frob(a):
-    # beyond 1e+-154 the plain sum of squares overflows or underflows; the rescaled
-    # norm stays within rounding of math.hypot, which scales for itself
+def test_stack_entries_have_the_bits_of_frob(a):
+    # entry k of frob of a stack is frob of matrix k; beyond 1e+-154 the plain sum of
+    # squares overflows or underflows, and the rescaled norm stays within rounding of
+    # math.hypot, which scales for itself
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms = frob_stack(a)
+        norms = frob(a)
         assert norms.shape == a.shape[:-2]
         for norm, matrix in zip(norms.tolist(), a):
             assert norm == frob(matrix)
